@@ -46,18 +46,7 @@ SUITES = {
 }
 
 #: Throughput keys gated by --compare; ``reference_*`` stays advisory.
-#: The pipelined-pool counters (``dispatch_overlap_s``,
-#: ``ring_round_trips``, back-pressure/doorbell tallies, speedup
-#: ratios) deliberately match neither suffix: they are recorded for
-#: review, not gated — their absolute values are hardware noise.
 _GATED_SUFFIXES = ("_ticks_per_s", "_probes_per_s")
-
-
-def _suite_kwargs(module, args) -> dict:
-    """Extra run_suite kwargs a suite supports (shard: pool_only)."""
-    if module is bench_shard and getattr(args, "pool_only", False):
-        return {"pool_only": True}
-    return {}
 
 
 def _gated_metrics(report: dict) -> "dict[str, float]":
@@ -118,9 +107,7 @@ def _run_compare(args) -> int:
         f"(suite {suite_name}, {'quick' if quick else 'full'} mode, "
         f"tolerance {args.tolerance * 100:.0f}%)"
     )
-    fresh = module.run_suite(
-        quick=quick, seed=args.seed, **_suite_kwargs(module, args)
-    )
+    fresh = module.run_suite(quick=quick, seed=args.seed)
     print(module.format_report(fresh))
     problems = compare_reports(baseline, fresh, args.tolerance)
     if problems:
@@ -137,9 +124,7 @@ def _run_refresh(args) -> int:
     failed = False
     for name in names:
         module = SUITES[name]
-        report = module.run_suite(
-            quick=args.quick, seed=args.seed, **_suite_kwargs(module, args)
-        )
+        report = module.run_suite(quick=args.quick, seed=args.seed)
         print(module.format_report(report))
         output = pathlib.Path(args.output_dir) / f"BENCH_{name}.json"
         with open(output, "w") as handle:
@@ -173,14 +158,6 @@ def main(argv=None) -> int:
         metavar="BASELINE.json",
         help="regression mode: re-run the baseline's suite and fail "
         "on >tolerance throughput drop or equivalence failure",
-    )
-    parser.add_argument(
-        "--pool-only",
-        action="store_true",
-        help="shard suite only: run just the pool sections "
-        "(pool_shards + pipelined_pool) — the CI smoke's time budget; "
-        "in --compare mode, baseline metrics for the skipped sections "
-        "are simply not re-checked",
     )
     parser.add_argument(
         "--tolerance",

@@ -1,4 +1,4 @@
-"""Chaos smoke test: a real CLI campaign survives injected worker faults.
+"""Chaos smoke test: real CLI campaigns survive faults and resume bitwise.
 
 Scenario 1 (trial-level) runs ``hotspots figure5b`` twice over a
 small synthetic population:
@@ -9,25 +9,22 @@ small synthetic population:
    trial 2 raise), so the run exercises pool replacement *and*
    deterministic retry.
 
-Scenario 2 (shard-level) runs the same experiment with the address
-space sharded over a supervised worker pool and ``--checkpoint-every``
-on, then hard-kills one shard worker mid-run via
-``$REPRO_MIDRUN_FAULT``.  The supervisor must respawn just that
-worker and replay from the last checkpoint — *not* fall back to the
-serial re-run — and the output must still be byte-identical to the
-clean serial run.
+Scenario 2 (checkpoint resume) runs one hit-list size of the same
+experiment with the address space split over two in-process shards
+and ``--checkpoint-every 20``, deletes each simulation's checkpoints
+past its middle one, and resumes with ``--restore-from``.  The
+resumed run must report one shard checkpoint restore per simulation.
 
-Every chaotic run must exit 0, report its recovery on stderr, and
-print stdout byte-identical to the clean run — the repo's determinism
-guarantee, end to end through the real CLI.  Exit status: 0 on pass,
-1 on any divergence (suitable for CI).
+Every run must exit 0 and print stdout byte-identical to the clean
+serial run — the repo's determinism guarantee, end to end through the
+real CLI.  Exit status: 0 on pass, 1 on any divergence (suitable for
+CI).
 
     python scripts/chaos_smoke.py [--verbose]
 """
 
 import argparse
 import difflib
-import json
 import os
 import shutil
 import subprocess
@@ -59,22 +56,17 @@ BASE_ARGS = [
 ]
 
 
-#: The shard-supervision scenario runs one trial of one hit-list size
-#: only (CI time; the trailing --trials wins over BASE_ARGS), kills
-#: shard 0's worker at tick 30, and checkpoints every 20 ticks — so
-#: recovery must restore the tick-19 snapshot and replay.
+#: The checkpoint-resume scenario runs one trial of one hit-list size
+#: only (CI time; the trailing --trials wins over BASE_ARGS).
 SHARD_ARGS = ["--set", "hitlist_sizes=(100,)", "--trials", "1"]
-SHARD_KILL_FAULT = json.dumps({"kind": "kill-worker", "tick": 30, "shard": 0})
 
 
-def run_cli(extra_args, fault_plan=None, midrun_fault=None):
+def run_cli(extra_args, fault_plan=None):
     env = dict(os.environ)
     env.pop("REPRO_FAULT_PLAN", None)
     env.pop("REPRO_MIDRUN_FAULT", None)
     if fault_plan is not None:
         env["REPRO_FAULT_PLAN"] = fault_plan
-    if midrun_fault is not None:
-        env["REPRO_MIDRUN_FAULT"] = midrun_fault
     return subprocess.run(
         BASE_ARGS + extra_args,
         env=env,
@@ -134,83 +126,111 @@ def main() -> int:
         "recovered, output identical to the clean serial run"
     )
 
-    print("[chaos-smoke] clean serial run (shard scenario) ...", flush=True)
-    shard_clean = run_cli(["--workers", "1"] + SHARD_ARGS)
-    if shard_clean.returncode != 0:
-        print("[chaos-smoke] FAIL: shard-scenario clean run exited nonzero")
-        print(shard_clean.stderr)
+    print("[chaos-smoke] clean serial run (resume scenario) ...", flush=True)
+    resume_clean = run_cli(["--workers", "1"] + SHARD_ARGS)
+    if resume_clean.returncode != 0:
+        print("[chaos-smoke] FAIL: resume-scenario clean run exited nonzero")
+        print(resume_clean.stderr)
         return 1
 
-    print(
-        "[chaos-smoke] supervised shard-pool run "
-        "(kill shard worker at tick 30) ...",
-        flush=True,
-    )
     checkpoint_dir = tempfile.mkdtemp(prefix="chaos-ckpt-")
     try:
-        shard_chaos = run_cli(
+        print(
+            "[chaos-smoke] sharded run checkpointing every 20 ticks ...",
+            flush=True,
+        )
+        checkpointed = run_cli(
             SHARD_ARGS
             + [
                 "--shards",
                 "2",
-                "--set",
-                "shard_workers=2",
                 "--checkpoint-every",
                 "20",
                 "--checkpoint-dir",
                 checkpoint_dir,
-            ],
-            midrun_fault=SHARD_KILL_FAULT,
+            ]
+        )
+        failed |= check_run(
+            "checkpointed", checkpointed, resume_clean, args.verbose
+        )
+        restored_ticks = rewind_to_mid_run(checkpoint_dir)
+        if not restored_ticks:
+            print("[chaos-smoke] FAIL: the run wrote no checkpoints")
+            return 1
+        print(
+            "[chaos-smoke] resuming from mid-run snapshots "
+            f"(ticks {restored_ticks}) ...",
+            flush=True,
+        )
+        resumed = run_cli(
+            SHARD_ARGS + ["--shards", "2", "--restore-from", checkpoint_dir]
         )
     finally:
         shutil.rmtree(checkpoint_dir, ignore_errors=True)
-    if args.verbose:
-        print(shard_chaos.stderr)
-
-    if shard_chaos.returncode != 0:
-        print("[chaos-smoke] FAIL: shard-kill run exited nonzero")
-        print(shard_chaos.stderr)
-        failed = True
-    if shard_chaos.stdout != shard_clean.stdout:
+    failed |= check_run("resumed", resumed, resume_clean, args.verbose)
+    restores = resumed.stderr.count("recovery: restore")
+    if restores != len(restored_ticks) or "mode=shard" not in resumed.stderr:
+        # The resume must really have restored a shard snapshot per
+        # simulation; a silent fresh run would make this vacuous.
         print(
-            "[chaos-smoke] FAIL: shard-kill output diverged from clean run"
+            f"[chaos-smoke] FAIL: expected {len(restored_ticks)} shard "
+            f"checkpoint restore(s), saw {restores}"
         )
-        sys.stdout.writelines(
-            difflib.unified_diff(
-                shard_clean.stdout.splitlines(keepends=True),
-                shard_chaos.stdout.splitlines(keepends=True),
-                fromfile="clean",
-                tofile="shard-chaos",
-            )
-        )
-        failed = True
-    if "worker-respawn" not in shard_chaos.stderr:
-        # The kill must have fired *and* been recovered through the
-        # supervisor (visible in the RunReport's recovery events).
-        print(
-            "[chaos-smoke] FAIL: no worker-respawn reported — fault "
-            "never fired, or recovery took another path?"
-        )
-        print(shard_chaos.stderr)
-        failed = True
-    if "serial-rerun" in shard_chaos.stderr:
-        # A checkpointed pool must recover by respawn + replay; the
-        # whole-run serial fallback means supervision failed.
-        print(
-            "[chaos-smoke] FAIL: supervised pool degraded to the "
-            "serial re-run"
-        )
-        print(shard_chaos.stderr)
+        print(resumed.stderr)
         failed = True
     if failed:
         return 1
     print(
-        "[chaos-smoke] PASS: shard worker killed mid-run, supervisor "
-        "respawned it from the checkpoint, output identical to the "
-        "clean serial run"
+        "[chaos-smoke] PASS: sharded run resumed from mid-run "
+        "checkpoints, output identical to the clean serial run"
     )
     return 0
 
+
+def rewind_to_mid_run(checkpoint_dir):
+    """Keep each simulation's checkpoints up to its middle one.
+
+    ``--restore-from`` resumes from the latest snapshot in each
+    per-simulation subdirectory; deleting the later ones makes that a
+    genuinely mid-run state.  Returns the kept tick per simulation.
+    """
+    ticks = []
+    for subdir in sorted(os.listdir(checkpoint_dir)):
+        files = sorted(
+            name
+            for name in os.listdir(os.path.join(checkpoint_dir, subdir))
+            if name.endswith(".ckpt")
+        )
+        if not files:
+            continue
+        keep = len(files) // 2
+        for name in files[keep + 1 :]:
+            os.remove(os.path.join(checkpoint_dir, subdir, name))
+        ticks.append(int(files[keep][len("tick-") : -len(".ckpt")]))
+    return ticks
+
+
+def check_run(label, run, clean, verbose):
+    """True (failed) unless ``run`` exited 0 with the clean stdout."""
+    if verbose:
+        print(run.stderr)
+    failed = False
+    if run.returncode != 0:
+        print(f"[chaos-smoke] FAIL: {label} run exited nonzero")
+        print(run.stderr)
+        failed = True
+    if run.stdout != clean.stdout:
+        print(f"[chaos-smoke] FAIL: {label} output diverged from clean run")
+        sys.stdout.writelines(
+            difflib.unified_diff(
+                clean.stdout.splitlines(keepends=True),
+                run.stdout.splitlines(keepends=True),
+                fromfile="clean",
+                tofile=label,
+            )
+        )
+        failed = True
+    return failed
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -33,7 +33,7 @@ This package verifies those contracts statically:
 * :mod:`~repro.analysis.flow.context` — the cached
   :class:`~repro.analysis.flow.context.ProjectContext` the lint
   framework hands to project-level checkers.
-* :mod:`~repro.analysis.flow.checkers` — the RP101–RP105 rules
+* :mod:`~repro.analysis.flow.checkers` — the RP101–RP104 rules
   exposed through ``hotspots lint``.
 
 Every suppression of an RP1xx finding must name a reason::
@@ -45,7 +45,6 @@ reports the missing reason instead.
 """
 
 from repro.analysis.flow.checkers import (
-    DispatchWindowChecker,
     KernelGateCoverageChecker,
     PoolBoundaryPicklabilityChecker,
     RngOrderingChecker,
@@ -54,7 +53,6 @@ from repro.analysis.flow.checkers import (
 from repro.analysis.flow.context import ProjectContext, build_context
 
 __all__ = [
-    "DispatchWindowChecker",
     "KernelGateCoverageChecker",
     "PoolBoundaryPicklabilityChecker",
     "ProjectContext",

@@ -1,6 +1,6 @@
-"""The RP101–RP105 determinism-flow checkers.
+"""The RP101–RP104 determinism-flow checkers.
 
-All five are :class:`~repro.analysis.lint.framework.ProjectChecker`
+All four are :class:`~repro.analysis.lint.framework.ProjectChecker`
 subclasses with ``needs_context = True``: the lint driver hands them
 one shared :class:`~repro.analysis.flow.context.ProjectContext`
 (symbol table + call graph + taint fixpoint) instead of a single
@@ -10,7 +10,7 @@ Suppression policy — stricter than the RP00x rules on purpose: a
 flow finding names a cross-module contract, so silencing one must
 name the argument why the contract still holds::
 
-    self._run(backup, pooled=False)  # noqa: RP102 -- pre-consumption rng copy; serial re-run is bitwise-identical
+    state = replay(rng)  # noqa: RP102 -- restored bit-generator state; the replay re-draws the serial stream
 
 A bare ``# noqa: RP102`` (or a blanket ``# noqa``) does not silence
 the finding; the checker reports the missing reason instead.
@@ -130,11 +130,11 @@ class ShardPurityChecker(FlowChecker):
     """RP101: RNG/clock/entropy must not flow into shard-side code.
 
     Shard-side code is every method of a ``ShardEngine`` class plus
-    everything reachable from a pool ``submit`` payload (the
-    ``repro.runtime.shardpool`` workers).  The exchange determinism
-    contract keeps all stream consumption in the driver, in serial
-    order; a draw inside a shard would interleave with worker
-    scheduling and break bitwise reproduction.
+    everything reachable from a process-pool ``submit`` payload (the
+    :class:`~repro.runtime.runner.TrialRunner` workers).  The exchange
+    determinism contract keeps all stream consumption in the driver,
+    in serial order; a draw inside a shard would break bitwise
+    reproduction.
     """
 
     code = "RP101"
@@ -251,104 +251,6 @@ class ShardPurityChecker(FlowChecker):
                     )
 
 
-class DispatchWindowChecker(FlowChecker):
-    """RP105: the streamed-dispatch overlap window must be RNG-free.
-
-    The pipelined shard pool overlaps worker compute with the
-    driver's remaining route/stage work: between a tick's first
-    ``.dispatch_shard(...)`` and its last ``.collect(...)`` some
-    shards are already executing.  Every RNG-consuming stage must
-    have run *before* that window opens (the exchange determinism
-    contract draws in serial batch order); a draw inside the window
-    would make stream position depend on how far dispatch had
-    progressed — exactly the scheduling-dependent consumption the
-    contract exists to forbid.  The window is syntactic per function:
-    the line span from the first ``dispatch_shard`` call through the
-    last ``collect`` call.
-    """
-
-    code = "RP105"
-    name = "dispatch-window"
-    rationale = (
-        "Driver code must not consume RNG between a tick's first "
-        "dispatch_shard and last collect — the streamed-dispatch "
-        "overlap window runs concurrently with worker compute, and "
-        "all draws must already have happened in serial batch order."
-    )
-
-    def _find(self, context: ProjectContext) -> Iterable[Diagnostic]:
-        table, taint = context.table, context.taint
-        for qualname in sorted(table.functions):
-            info = table.functions[qualname]
-            window = self._window(info.node)
-            if window is None:
-                continue
-            first, last = window
-            summary = taint.functions.get(qualname)
-            if summary is None:
-                continue
-            for site in summary.sites:
-                if site.kind != RNG or not first <= site.line <= last:
-                    continue
-                yield Diagnostic(
-                    path=info.relpath,
-                    line=site.line,
-                    col=site.col,
-                    code=self.code,
-                    message=(
-                        f"RNG consumed inside the dispatch window "
-                        f"(lines {first}-{last}) of "
-                        f"{_short(context, qualname)}: {site.detail}; "
-                        "draws must complete before the first "
-                        "dispatch_shard"
-                    ),
-                    end_line=site.line,
-                )
-            for call in summary.call_sites:
-                if call.kind != RNG or not first <= call.line <= last:
-                    continue
-                consumer = next(
-                    (t for t in call.targets if t in taint.uses_rng), None
-                )
-                if consumer is None:
-                    continue
-                yield Diagnostic(
-                    path=info.relpath,
-                    line=call.line,
-                    col=call.col,
-                    code=self.code,
-                    message=(
-                        f"a generator flows into "
-                        f"{_short(context, consumer)} inside the "
-                        f"dispatch window (lines {first}-{last}) of "
-                        f"{_short(context, qualname)}; the overlap "
-                        "window must be RNG-free"
-                    ),
-                    end_line=call.line,
-                )
-
-    @staticmethod
-    def _window(node: ast.AST) -> Optional[tuple[int, int]]:
-        """The ``dispatch_shard``..``collect`` line span, if both occur."""
-        first: Optional[int] = None
-        last: Optional[int] = None
-        for sub in ast.walk(node):
-            if not (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-            ):
-                continue
-            if sub.func.attr == "dispatch_shard":
-                if first is None or sub.lineno < first:
-                    first = sub.lineno
-            elif sub.func.attr == "collect":
-                if last is None or sub.lineno > last:
-                    last = sub.lineno
-        if first is None or last is None or last < first:
-            return None
-        return first, last
-
-
 class RngOrderingChecker(FlowChecker):
     """RP102: no RNG consumption under data-dependent order.
 
@@ -357,8 +259,7 @@ class RngOrderingChecker(FlowChecker):
     ``except``/``finally`` recovery path — code the serial reference
     would not execute, or would execute in another order — silently
     forks the stream.  The fork-deadlock and degrade-to-serial
-    fallbacks in ``runner.py``/``shardpool.py`` are the motivating
-    precedents.
+    fallbacks in ``runner.py`` are the motivating precedents.
     """
 
     code = "RP102"
@@ -418,7 +319,9 @@ class RngOrderingChecker(FlowChecker):
 class PoolBoundaryPicklabilityChecker(FlowChecker):
     """RP103: everything crossing a pool boundary pickles statically.
 
-    Generalizes RP004 from "the payload callable" to the whole
+    A pool boundary is a process-pool ``submit`` call, such as the
+    :class:`~repro.runtime.runner.TrialRunner` dispatch.  Generalizes
+    RP004 from "the payload callable" to the whole
     shipped object graph: the payload must be a module-level
     function, no argument may be a lambda or a closure, and every
     project class reachable from the payload's parameter annotations

@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.flow.checkers import (
-    DispatchWindowChecker,
     KernelGateCoverageChecker,
     PoolBoundaryPicklabilityChecker,
     RngOrderingChecker,
@@ -43,7 +42,6 @@ CHECKER_CLASSES: tuple[type[Checker], ...] = (
     RngOrderingChecker,
     PoolBoundaryPicklabilityChecker,
     KernelGateCoverageChecker,
-    DispatchWindowChecker,
 )
 
 

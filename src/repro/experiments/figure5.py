@@ -119,8 +119,6 @@ def _hitlist_trial(
     max_time: float,
     seed: "np.random.SeedSequence | int",
     shards: Optional[int] = None,
-    shard_workers: int = 1,
-    shard_transport: str = "ring",
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     restore_from: Optional[str] = None,
@@ -132,12 +130,7 @@ def _hitlist_trial(
     the trial, so serial and parallel campaigns match bitwise.
     ``shards`` selects the sharded engine (identical results — the
     exchange contract), so internet-scale populations can split their
-    per-tick work, and ``shard_workers`` fans those shards out over a
-    process pool (supervised — respawn from the latest checkpoint —
-    when checkpointing is on; ``shard_transport`` picks the pool's
-    wire, see :func:`repro.sim.spec.simulate`).
-    ``checkpoint_every``/``checkpoint_dir``
-    snapshot
+    per-tick work.  ``checkpoint_every``/``checkpoint_dir`` snapshot
     mid-run state (per hit-list size, in a ``hitlist-<N>`` subdir),
     and ``restore_from`` resumes from the latest snapshot there —
     again bitwise-identical to an uninterrupted run.
@@ -178,8 +171,6 @@ def _hitlist_trial(
     result = simulate(
         spec,
         rng,
-        shard_workers=shard_workers,
-        shard_transport=shard_transport,
         checkpoint_dir=(
             os.path.join(checkpoint_dir, subdir)
             if checkpoint_dir is not None
@@ -215,8 +206,6 @@ def run_infection(
     seed: "int | np.random.SeedSequence" = 2005,
     workers: int = 1,
     shards: Optional[int] = None,
-    shard_workers: int = 1,
-    shard_transport: str = "ring",
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     restore_from: Optional[str] = None,
@@ -250,8 +239,6 @@ def run_infection(
                 seed_count=seed_count,
                 max_time=max_time,
                 shards=shards,
-                shard_workers=shard_workers,
-                shard_transport=shard_transport,
                 checkpoint_every=checkpoint_every,
                 checkpoint_dir=checkpoint_dir,
                 restore_from=restore_from,
@@ -298,8 +285,6 @@ def run_detection(
     seed: "int | np.random.SeedSequence" = 2005,
     workers: int = 1,
     shards: Optional[int] = None,
-    shard_workers: int = 1,
-    shard_transport: str = "ring",
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     restore_from: Optional[str] = None,
@@ -314,8 +299,6 @@ def run_detection(
         seed=seed,
         workers=workers,
         shards=shards,
-        shard_workers=shard_workers,
-        shard_transport=shard_transport,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         restore_from=restore_from,

@@ -234,9 +234,9 @@ class Experiment:
         with recovery_collection() as recovery_log:
             report = runner.run_report(batch)
         if recovery_log.events:
-            # Checkpoint writes, restores, and shard-worker respawns
-            # during in-process trials ride back on the report, so
-            # the CLI can surface every recovery path it exercised.
+            # Checkpoint writes and restores during in-process trials
+            # ride back on the report, so the CLI can surface every
+            # recovery path it exercised.
             report = dataclasses.replace(
                 report, recovery_events=tuple(recovery_log.events)
             )
@@ -300,7 +300,6 @@ class Experiment:
         # result inputs: a checkpointed (or restored) run is bitwise
         # identical to a clean one, so it must share the cache key.
         effective.pop("workers", None)
-        effective.pop("shard_workers", None)
         effective.pop("checkpoint_every", None)
         effective.pop("checkpoint_dir", None)
         effective.pop("restore_from", None)

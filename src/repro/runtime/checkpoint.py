@@ -1,9 +1,9 @@
 """Deterministic mid-run checkpoint/restore for simulation runs.
 
 A campaign-scale run that dies at tick 3,999 of 4,000 should not
-start over.  This module gives every execution mode — the serial
-engine, in-process shards, and the shard worker pool — a versioned,
-content-hashed snapshot format written at a configurable tick cadence
+start over.  This module gives both execution modes — the serial
+engine and in-process shards — a versioned, content-hashed snapshot
+format written at a configurable tick cadence
 (``SimulationSpec.checkpoint_every``), and a loader that validates a
 snapshot *belongs* to the spec before any state is touched.
 
@@ -41,11 +41,10 @@ may be restored under a different cadence.
 Recovery events
 ---------------
 Mirroring :mod:`repro.runtime.perf`, an ambient collector
-(:func:`recovery_collection`) gathers checkpoint / restore /
-worker-respawn / serial-rerun events from anywhere in the engine
-stack; the experiment registry attaches them to the
-:class:`~repro.runtime.report.RunReport` so the CLI can print what
-recovered and why.
+(:func:`recovery_collection`) gathers checkpoint / restore events
+from anywhere in the engine stack; the experiment registry attaches
+them to the :class:`~repro.runtime.report.RunReport` so the CLI can
+print what recovered and why.
 """
 
 from __future__ import annotations
@@ -78,6 +77,11 @@ CHECKPOINT_SUFFIX = ".ckpt"
 #: The per-directory append-only index of written checkpoints.
 JOURNAL_NAME = "checkpoints.jsonl"
 
+#: The ``layout`` a shard-mode payload declares: per-engine population
+#: state plus one global snapshot per shared sensor and grid.  Serial
+#: payloads carry no layout.
+SHARD_LAYOUT = "inproc"
+
 
 class CheckpointError(RuntimeError):
     """A checkpoint failed validation; the message names the field."""
@@ -100,7 +104,7 @@ def spec_fingerprint(spec: "SimulationSpec") -> dict[str, Any]:
     """The identity-bearing structure of a spec, as canonical JSON data.
 
     Everything that changes *results* belongs here; knobs that only
-    change execution (cadence, workers, transport) do not.  The worm
+    change execution (cadence, trial workers) do not.  The worm
     is fingerprinted by pickle digest (worm objects are immutable
     value objects; all per-run state lives in ``WormState``); the
     environment is fingerprinted structurally because its policy
@@ -415,6 +419,13 @@ def load_checkpoint(
             "checkpoint.payload: expected a state dict, got "
             f"{type(payload).__name__}"
         )
+    layout = payload.get("layout")
+    if layout not in (None, SHARD_LAYOUT):
+        raise CheckpointError(
+            f"checkpoint.layout: snapshot stores {layout!r} shard state; "
+            f"this build restores only {SHARD_LAYOUT!r} (in-process "
+            "shard) snapshots"
+        )
     payload["tick"] = int(header["tick"])
     payload["mode"] = mode
     return payload
@@ -428,9 +439,8 @@ class RecoveryLog:
     """Recovery events gathered while a collection context is active.
 
     Each event is a plain dict with at least a ``kind`` key —
-    ``"checkpoint"``, ``"restore"``, ``"worker-respawn"``, or
-    ``"serial-rerun"`` — plus kind-specific detail (tick, shard id,
-    reason, replayed tick count).
+    ``"checkpoint"`` or ``"restore"`` — plus kind-specific detail
+    (tick, file or path).
     """
 
     events: list[dict[str, Any]] = field(default_factory=list)
@@ -470,6 +480,7 @@ __all__ = [
     "FORMAT_VERSION",
     "JOURNAL_NAME",
     "RecoveryLog",
+    "SHARD_LAYOUT",
     "checkpoint_filename",
     "latest_checkpoint",
     "load_checkpoint",

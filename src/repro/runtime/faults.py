@@ -43,20 +43,12 @@ plan was given.
 
 Mid-run faults
 --------------
-Trial-level faults strike before a trial starts; the checkpoint /
-supervision layer (:mod:`repro.runtime.checkpoint`,
-:class:`~repro.runtime.shardpool.ShardPool`) needs failures that
-strike *mid-run*, at a chosen tick.  ``$REPRO_MIDRUN_FAULT`` carries
-one as JSON — ``{"kind": "kill-worker", "shard": 1, "tick": 40}`` —
-parsed by :func:`midrun_fault_from_env` into a :class:`MidRunFault`:
+Trial-level faults strike before a trial starts; the checkpoint layer
+(:mod:`repro.runtime.checkpoint`) needs failures that strike
+*mid-run*, at a chosen tick.  ``$REPRO_MIDRUN_FAULT`` carries one as
+JSON — ``{"kind": "corrupt-checkpoint", "tick": 40}`` — parsed by
+:func:`midrun_fault_from_env` into a :class:`MidRunFault`:
 
-``kill-worker``
-    The shard's pool worker hard-exits on the first dispatch of tick
-    ``tick``.  Supervision replays re-issue work under fresh epochs,
-    so the fault fires exactly once per run.
-``hang-worker``
-    Same trigger, but the worker sleeps ``seconds`` instead of dying —
-    long enough to trip the pool's heartbeat.
 ``corrupt-checkpoint``
     The checkpoint writer flips a payload byte after the file lands,
     so a later restore must fail the content hash.
@@ -79,12 +71,7 @@ import numpy as np
 FAULT_KINDS = ("raise", "hang", "kill", "corrupt")
 
 #: Recognised mid-run fault kinds (``$REPRO_MIDRUN_FAULT``).
-MIDRUN_FAULT_KINDS = (
-    "kill-worker",
-    "hang-worker",
-    "corrupt-checkpoint",
-    "stale-checkpoint-version",
-)
+MIDRUN_FAULT_KINDS = ("corrupt-checkpoint", "stale-checkpoint-version")
 
 #: Environment variable carrying a JSON fault plan for chaos runs.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
@@ -251,15 +238,11 @@ def plan_from_env() -> Optional[FaultPlan]:
 class MidRunFault:
     """One injected mid-run failure (see the module docstring).
 
-    ``tick`` is the absolute 0-based tick index the fault keys on;
-    ``shard`` restricts worker faults to one shard (``None`` = any);
-    ``seconds`` is the ``hang-worker`` sleep.
+    ``tick`` is the absolute 0-based tick index the fault keys on.
     """
 
     kind: str
     tick: Optional[int] = None
-    shard: Optional[int] = None
-    seconds: float = DEFAULT_HANG_SECONDS
 
     def __post_init__(self) -> None:
         if self.kind not in MIDRUN_FAULT_KINDS:
@@ -269,23 +252,17 @@ class MidRunFault:
             )
         if self.tick is not None and self.tick < 0:
             raise FaultPlanError("mid-run fault tick must be >= 0")
-        if self.seconds <= 0:
-            raise FaultPlanError("fault seconds must be positive")
 
     def matches_tick(self, tick: int) -> bool:
         """True when the fault applies at this tick (None = every)."""
         return self.tick is None or self.tick == tick
-
-    def matches_shard(self, shard_id: int) -> bool:
-        """True when the fault applies to this shard (None = every)."""
-        return self.shard is None or self.shard == shard_id
 
 
 def midrun_fault_from_env() -> Optional[MidRunFault]:
     """The ``$REPRO_MIDRUN_FAULT`` fault, or ``None`` when unset.
 
     Read from the environment (not passed through pickled arguments)
-    so the same fault reaches pool workers under any process start
+    so the same fault reaches trial workers under any process start
     method — the :data:`FAULT_PLAN_ENV` idiom.
     """
     raw = os.environ.get(MIDRUN_FAULT_ENV)
@@ -305,13 +282,9 @@ def midrun_fault_from_env() -> Optional[MidRunFault]:
             f"{MIDRUN_FAULT_ENV} needs a string 'kind'; got {kind!r}"
         )
     tick = data.get("tick")
-    shard = data.get("shard")
-    seconds = data.get("seconds", DEFAULT_HANG_SECONDS)
     return MidRunFault(
         kind=kind,
         tick=None if tick is None else int(tick),  # type: ignore[call-overload]
-        shard=None if shard is None else int(shard),  # type: ignore[call-overload]
-        seconds=float(seconds),  # type: ignore[arg-type]
     )
 
 

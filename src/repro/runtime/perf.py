@@ -19,22 +19,13 @@ from typing import Iterator, Mapping, Optional, Protocol
 #: Engine stages, in tick order (also the display order).
 STAGES = ("generate", "filter", "dispatch", "infect")
 
-#: Sharded-driver stages, in tick order.  Pool mode's streamed
-#: pipeline laps ``stage`` (per-shard bucket gather), ``dispatch``
-#: (staging + ring write), ``wait`` (reply latency) and ``collect``
-#: (reply reads) where the in-process paths lap ``route``/``exchange``
-#: and ``shards``.
+#: Sharded-driver stages, in tick order.
 SHARD_STAGES = (
     "generate",
     "filter",
     "route",
     "exchange",
-    "stage",
-    "dispatch",
-    "wait",
-    "collect",
     "shards",
-    "transport",
     "merge",
 )
 
@@ -46,7 +37,7 @@ _KNOWN_STAGES = STAGES + tuple(
 
 
 class StageTimer(Protocol):
-    """What the tick loops (and the shard pool) expect of a timer."""
+    """What the tick loops expect of a timer."""
 
     def start(self) -> None: ...
 

@@ -97,17 +97,13 @@ class RunReport:
     ``--perf``): cumulative stage seconds and tick count across every
     in-process trial.  Serial runs lap the four engine stages
     (generate/filter/dispatch/infect); sharded runs lap the driver
-    stages of :data:`repro.runtime.perf.SHARD_STAGES` — pool mode's
-    streamed pipeline reports ``stage``/``dispatch``/``wait``/
-    ``collect`` instead of the in-process ``shards`` lap.
+    stages of :data:`repro.runtime.perf.SHARD_STAGES`.
 
-    ``recovery_events`` are the checkpoint/restore/supervision events
-    collected by :func:`repro.runtime.checkpoint.recovery_collection`
-    while the batch ran: one mapping per event with at least a
-    ``kind`` key (``"checkpoint"``, ``"restore"``,
-    ``"worker-respawn"``, ``"serial-rerun"``) plus kind-specific
-    detail — a respawn names the failing shard, its pool slot, the
-    failure reason, and how many buffered ticks were replayed.
+    ``recovery_events`` are the checkpoint/restore events collected by
+    :func:`repro.runtime.checkpoint.recovery_collection` while the
+    batch ran: one mapping per event with at least a ``kind`` key
+    (``"checkpoint"``, ``"restore"``) plus kind-specific detail — the
+    tick, and the file written or the path restored from.
     """
 
     outcomes: tuple[TrialOutcome, ...]
@@ -153,8 +149,7 @@ class RunReport:
         """Recovery events beyond routine checkpoint writes.
 
         Checkpoint captures are scheduled work, not recoveries; a
-        restore, worker respawn, or serial re-run means the batch
-        actually exercised a recovery path.
+        restore means the batch actually exercised a recovery path.
         """
         return tuple(
             event
@@ -167,8 +162,7 @@ class RunReport:
         """True when nothing beyond plain ok/cached execution happened.
 
         Routine checkpoint writes don't count as events — they happen
-        on every checkpointed run — but restores, worker respawns,
-        and serial re-runs do.
+        on every checkpointed run — but restores do.
         """
         counts = self.counts()
         return (

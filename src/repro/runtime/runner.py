@@ -35,6 +35,8 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_ready
+from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.runtime.cache import MISS, ResultCache
@@ -761,19 +763,38 @@ class TrialRunner:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
         deadline = time.monotonic() + 10.0
+
+        def remaining() -> float:
+            return max(0.0, deadline - time.monotonic())
+
         for process in processes:
-            try:
-                process.join(timeout=min(1.0, max(0.0, deadline - time.monotonic())))
-                if process.is_alive():  # SIGTERM masked or worker wedged
+            if not _has_exited(process, min(1.0, remaining())):
+                # SIGTERM masked or worker wedged.
+                try:
                     process.kill()
-                    process.join(timeout=max(0.1, deadline - time.monotonic()))
-            except (OSError, ValueError, AssertionError):  # noqa: RP007 — reaped elsewhere
-                pass
+                except (OSError, ValueError):  # noqa: RP007 — exited meanwhile
+                    pass
         # The manager thread joins the (now dead) workers and exits;
         # bounded, because a hung teardown must not hang the campaign.
         manager = getattr(pool, "_executor_manager_thread", None)
         if manager is not None and manager.is_alive():
-            manager.join(timeout=max(0.1, deadline - time.monotonic()))
+            manager.join(timeout=max(0.1, remaining()))
             if manager.is_alive():
                 return False
-        return not any(process.is_alive() for process in processes)
+        return all(_has_exited(process, remaining()) for process in processes)
+
+
+def _has_exited(process: BaseProcess, timeout: float) -> bool:
+    """Whether a worker process has exited, waiting up to ``timeout``.
+
+    Decided from the process sentinel, the read end of a pipe the
+    child holds open until it exits.  ``is_alive()`` asks ``waitpid``
+    instead: when the executor's manager thread has already reaped the
+    child, that call fails with ECHILD and a dead worker reads as
+    alive.  The sentinel is ready once the child exits, whoever reaps
+    it.
+    """
+    try:
+        return bool(wait_ready([process.sentinel], timeout))
+    except ValueError:  # noqa: RP007 — a closed Process has already exited
+        return True

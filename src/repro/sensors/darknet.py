@@ -134,34 +134,6 @@ class DarknetSensor:
             return 0
         return len(np.unique(pairs & np.uint64(0xFFFFFFFF)))
 
-    def absorb(self, other: "DarknetSensor") -> None:
-        """Fold another sensor's observations into this one.
-
-        The sharded engine's merge step: pool workers run clones of
-        this sensor, each ingesting a disjoint slice of the probe
-        stream (shard boundaries are /24-aligned, so no /24 bin is
-        split), and the driver absorbs their state back.  Counts add
-        and pair chunks concatenate — the same commutative aggregates
-        ``ingest`` maintains, so the merged state equals one sensor
-        having seen every probe.
-        """
-        if (
-            other.block.first != self.block.first
-            or other.block.last != self.block.last
-        ):
-            raise ValueError(
-                f"cannot absorb sensor on {other.block} into {self.block}"
-            )
-        self._probe_counts += other._probe_counts
-        if other._pair_chunks:
-            self._pair_chunks.extend(other._pair_chunks)
-            self._pending_pairs += sum(
-                len(chunk) for chunk in other._pair_chunks
-            )
-            self._unique_pairs = None
-            if self._pending_pairs >= PAIR_COMPACT_THRESHOLD:
-                self._compact_pairs()
-
     def reset(self) -> None:
         """Clear all recorded observations."""
         self._probe_counts[:] = 0
@@ -201,38 +173,6 @@ class DarknetSensor:
         ]
         self._pending_pairs = int(snapshot["pending_pairs"])
         self._unique_pairs = None
-
-    @staticmethod
-    def merge_snapshots(snapshots: list) -> dict:
-        """Fold per-shard snapshots of one sensor into one snapshot.
-
-        The data-only analogue of :meth:`absorb`: shard boundaries
-        are /24-aligned, so each /24 bin's probes all came from one
-        shard — counts add and pair chunks concatenate exactly.  Used
-        when a pool-mode checkpoint (per-shard sensor clones) is
-        restored into an in-process run whose shards share a single
-        sensor object.
-        """
-        if not snapshots:
-            raise ValueError("merge_snapshots: need at least one snapshot")
-        merged = {
-            "probe_counts": np.asarray(
-                snapshots[0]["probe_counts"], dtype=np.int64
-            ).copy(),
-            "pair_chunks": [
-                np.asarray(chunk, dtype=np.uint64)
-                for snapshot in snapshots
-                for chunk in snapshot["pair_chunks"]
-            ],
-            "pending_pairs": sum(
-                int(snapshot["pending_pairs"]) for snapshot in snapshots
-            ),
-        }
-        for snapshot in snapshots[1:]:
-            merged["probe_counts"] += np.asarray(
-                snapshot["probe_counts"], dtype=np.int64
-            )
-        return merged
 
 
 #: Anonymized IMS blocks from the paper with their published sizes.

@@ -109,27 +109,6 @@ class SensorGrid:
             alerted &= times <= at_time
         return float(alerted.mean())
 
-    def absorb(self, other: "SensorGrid") -> None:
-        """Fold another grid's observations into this one.
-
-        The sharded engine's merge step: each pool worker's clone
-        observed a disjoint subset of this grid's /24 sensors (shard
-        boundaries are /24-aligned, so a sensor's probes all land in
-        one shard), making the merge exact — counts add, and each
-        sensor's alert time comes from whichever grid saw it cross
-        the threshold.
-        """
-        if not np.array_equal(other._prefixes, self._prefixes):
-            raise ValueError("cannot absorb a grid with different sensors")
-        if other.alert_threshold != self.alert_threshold:
-            raise ValueError("cannot absorb a grid with a different threshold")
-        self._payload_counts += other._payload_counts
-        theirs = other._alert_times
-        take = ~np.isnan(theirs) & (
-            np.isnan(self._alert_times) | (theirs < self._alert_times)
-        )
-        self._alert_times[take] = theirs[take]
-
     def reset(self) -> None:
         """Clear counts and alerts."""
         self._payload_counts[:] = 0
@@ -158,29 +137,6 @@ class SensorGrid:
             )
         self._payload_counts[:] = counts
         self._alert_times[:] = times
-
-    @staticmethod
-    def merge_snapshots(snapshots: list) -> dict:
-        """Fold per-shard snapshots of one grid into one snapshot.
-
-        The data-only analogue of :meth:`absorb`: each /24 sensor's
-        probes all land in one shard, so counts add and each alert
-        time is the element-wise earliest non-NaN.
-        """
-        if not snapshots:
-            raise ValueError("merge_snapshots: need at least one snapshot")
-        counts = np.asarray(
-            snapshots[0]["payload_counts"], dtype=np.int64
-        ).copy()
-        times = np.asarray(
-            snapshots[0]["alert_times"], dtype=np.float64
-        ).copy()
-        for snapshot in snapshots[1:]:
-            counts += np.asarray(snapshot["payload_counts"], dtype=np.int64)
-            theirs = np.asarray(snapshot["alert_times"], dtype=np.float64)
-            take = ~np.isnan(theirs) & (np.isnan(times) | (theirs < times))
-            times[take] = theirs[take]
-        return {"payload_counts": counts, "alert_times": times}
 
 
 def place_one_per_block(

@@ -445,9 +445,7 @@ class EpidemicSimulator:
         """
         population = self.population
         if resume is not None:
-            # The snapshot's worm state is deep-copied so a pool-
-            # failure re-run restoring from the same payload starts
-            # from unconsumed state.
+            # Deep-copied so the resume payload stays reusable.
             state = copy.deepcopy(resume["worm_state"])
             infected_now = np.empty(0, dtype=np.uint32)
         else:

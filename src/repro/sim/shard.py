@@ -31,36 +31,29 @@ deterministic per-target stage runs in the owning shard.*
   concatenating them in stable shard order *is* the global
   sorted-unique infection batch the serial engine computes.
 
-Shards run serially in-process by default; ``workers > 1`` fans the
-per-tick shard work out over a pool of dedicated worker processes
-(:mod:`repro.runtime.shardpool`).  Pool execution never changes
-results; if the pool breaks mid-run, the driver resets and re-runs
-the whole outbreak serially from the original seed material —
-the same degrade-to-serial philosophy as
-:class:`~repro.runtime.runner.TrialRunner`.
+Shards run serially in-process, in shard order.  The parallel axis
+that pays on the paper's workloads is the trial level
+(:class:`~repro.runtime.runner.TrialRunner`): target generation
+dominates an outbreak and stays in the driver by the contract above.
 """
 
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.population.model import HostPopulation
-from repro.runtime.checkpoint import CheckpointError, record_recovery
+from repro.runtime.checkpoint import SHARD_LAYOUT, CheckpointError
 from repro.runtime.perf import stage_timer
-from repro.sensors.darknet import DarknetSensor
-from repro.sensors.deployment import SensorGrid
 from repro.sensors.index import SensorIndex
 from repro.sim.arena import TickArena
 from repro.sim.engine import SimulationResult, _FusedVerdict
 
 if TYPE_CHECKING:
     from repro.runtime.checkpoint import Checkpointer
-    from repro.runtime.shardpool import ShardPool
     from repro.sim.spec import SimulationSpec
     from repro.worms.base import WormState
 
@@ -165,11 +158,8 @@ class ShardPlan:
 class ShardEngine:
     """One shard's state: population slice, sensors, verdict tables.
 
-    Constructed *from the spec* so the same code path serves both
-    execution modes: built in-process, the sensor objects are the
-    caller's own (shards ingest disjoint probe streams into them);
-    built inside a pool worker, the objects arrive pickled — private
-    clones whose state the driver absorbs back at end of run.
+    Constructed *from the spec*; the sensor objects are the caller's
+    own, and shards ingest disjoint probe streams into them.
 
     Construction is memory-slim on purpose — the 10^6-host regime is
     the whole point of sharding.  The population slice is found with
@@ -310,7 +300,6 @@ class ShardEngine:
 
         Deterministic verdict ∧ routed loss mask, then dispatch and
         infection in one step; returns ``(fresh, delivered_count)``.
-        This is the pool-worker entry point — one round trip per tick.
         """
         before = self.delivered_probes
         det, slots = self.deterministic(sources, targets, source_indices)
@@ -321,45 +310,21 @@ class ShardEngine:
 
     # -- checkpoint support -------------------------------------------
 
-    def state_snapshot(self, include_sensors: bool = True) -> dict:
+    def state_snapshot(self) -> dict:
         """Copy of this shard's mutable state.
 
-        ``include_sensors`` is True in pool workers, whose sensor and
-        grid objects are private clones; in-process engines share the
-        caller's sensor objects, so the driver snapshots those once
-        globally and passes False here.
+        The sensor objects are shared with the driver, which snapshots
+        them once globally, so they are not part of the shard state.
         """
-        snapshot: dict = {
+        return {
             "population": self.population.state_snapshot(),
             "delivered_probes": int(self.delivered_probes),
-            "sensors": None,
-            "grids": None,
         }
-        if include_sensors:
-            snapshot["sensors"] = [
-                sensor.state_snapshot() for sensor in self.sensors
-            ]
-            snapshot["grids"] = [
-                grid.state_snapshot() for grid in self.grids
-            ]
-        return snapshot
 
-    def state_restore(
-        self, snapshot: dict, *, restore_sensors: bool = True
-    ) -> None:
-        """Overwrite this shard's mutable state from a snapshot.
-
-        ``restore_sensors`` is False when the driver restores shared
-        in-process sensor objects globally (merged across shards)
-        instead of per engine.
-        """
+    def state_restore(self, snapshot: dict) -> None:
+        """Overwrite this shard's mutable state from a snapshot."""
         self.population.state_restore(snapshot["population"])
         self.delivered_probes = int(snapshot["delivered_probes"])
-        if restore_sensors and snapshot.get("sensors") is not None:
-            for sensor, state in zip(self.sensors, snapshot["sensors"]):
-                sensor.state_restore(state)
-            for grid, state in zip(self.grids, snapshot["grids"]):
-                grid.state_restore(state)
 
 
 #: Above this shard count the O(K·n) counting partition loses to the
@@ -456,65 +421,6 @@ class _Exchange:
         out[self.order] = permuted
         return out
 
-    def stream(
-        self, targets: np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(shard_id, bucket)`` in shard order, incrementally.
-
-        The streamed counterpart of :meth:`route` for pipelined
-        dispatch: each counting-sort bucket (the stable ascending
-        index array of one shard's probes) is yielded the moment it is
-        computed, *before* later shards have been partitioned — so a
-        consumer can gather and dispatch shard ``k`` while shards
-        ``k+1..K-1`` are still unrouted.  Gathering each bucket with
-        :meth:`gather` produces exactly the per-shard slices that
-        :meth:`route` + :meth:`permute` + :meth:`slices` would — same
-        stable order, same disjoint coverage — which is why streamed
-        dispatch preserves bitwise equivalence.  Buckets are fresh
-        arrays; the scratch mask is an arena loan reused per shard.
-        """
-        num_shards = self.plan.num_shards
-        count = len(targets)
-        if num_shards == 1:
-            yield 0, np.arange(count)
-            return
-        if num_shards > _COUNTING_PARTITION_MAX_SHARDS:
-            # The argsort fallback is inherently whole-batch; stream
-            # the slices of the one permutation it produces.
-            self.route(targets)
-            assert self.order is not None and self.offsets is not None
-            for shard_id in range(num_shards):
-                yield shard_id, self.order[
-                    self.offsets[shard_id] : self.offsets[shard_id + 1]
-                ]
-            return
-        mask = self.arena.request("mask", count, np.bool_)
-        shifted = self.arena.request("shifted", count, np.uint32)
-        for shard_id in range(num_shards):
-            lo, hi = self.plan.interval(shard_id)
-            if lo == 0:
-                np.less(targets, np.uint32(hi), out=mask)
-            else:
-                np.subtract(targets, np.uint32(lo), out=shifted)
-                np.less(shifted, np.uint32(hi - lo), out=mask)
-            yield shard_id, np.flatnonzero(mask)
-
-    def gather(
-        self, values: np.ndarray, bucket: np.ndarray, name: str
-    ) -> np.ndarray:
-        """One shard's slice of a batch array, in stable batch order.
-
-        The streamed analogue of :meth:`permute` + :meth:`slices` for
-        a single shard.  The result is an arena loan reused for the
-        *next* shard's gather under the same ``name`` — the consumer
-        must serialize or copy it before then (the pool's transports
-        all do: shared-memory staging is synchronous, and the pickle
-        path copies before submitting).
-        """
-        out = self.arena.request(name, len(bucket), values.dtype)
-        np.take(values, bucket, out=out)
-        return out
-
 
 class ShardedSimulator:
     """Drives one outbreak across K address-space shards.
@@ -524,33 +430,9 @@ class ShardedSimulator:
     spec:
         The :class:`~repro.sim.spec.SimulationSpec`; must carry a
         shard plan and a pristine population.
-    workers:
-        ``1`` (default) runs every shard in-process; ``> 1`` fans
-        shards out over dedicated worker processes, one per shard,
-        capped at ``workers`` concurrent pools.
-    transport:
-        How per-tick batches move between driver and pool workers:
-        ``"ring"`` (default) stages arrays in double-buffered
-        shared-memory arenas and streams each shard's dispatch
-        through a persistent per-worker command ring the moment its
-        routed slice is ready (:mod:`repro.runtime.ring`) — no
-        executor round trip on the tick path; ``"shmem"`` stages
-        arrays in single-buffered arenas
-        (:mod:`repro.runtime.shmem`) and ships a tiny control tuple
-        per shard per tick through the executor; ``"pickle"``
-        serializes the arrays through the pool's normal argument
-        path.  All transports are bitwise-identical; the
-        shared-memory ones silently fall back to pickle where POSIX
-        shared memory is unavailable.  Ignored when ``workers == 1``.
-    heartbeat:
-        Optional per-shard reply deadline (seconds) for pooled ticks;
-        a worker that misses it counts as failed and is respawned
-        (under supervision) or triggers the serial re-run.
     checkpointer:
         Optional :class:`~repro.runtime.checkpoint.Checkpointer`; the
-        driver snapshots the full run state at its cadence, and pool
-        mode enables per-slot supervision (snapshot + replay recovery
-        instead of the full serial re-run).
+        driver snapshots the full run state at its cadence.
     resume:
         Optional validated payload from
         :func:`~repro.runtime.checkpoint.load_checkpoint`; the run
@@ -561,9 +443,6 @@ class ShardedSimulator:
     def __init__(
         self,
         spec: "SimulationSpec",
-        workers: int = 1,
-        transport: str = "ring",
-        heartbeat: Optional[float] = None,
         checkpointer: Optional["Checkpointer"] = None,
         resume: Optional[dict] = None,
     ):
@@ -572,50 +451,11 @@ class ShardedSimulator:
             raise ValueError(
                 "SimulationSpec.shards: ShardedSimulator needs a shard plan"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
         if spec.population.num_infected or spec.population.num_immune:
             raise ValueError(
                 "SimulationSpec.population: sharded runs need a pristine "
-                "population (no prior infections or immunizations) so a "
-                "pool failure can deterministically restart the run"
-            )
-        if workers > 1:
-            if spec.containment is not None:
-                raise ValueError(
-                    "SimulationSpec.containment: quorum containment is "
-                    "global per-tick feedback and only runs with "
-                    "in-process shards (workers=1)"
-                )
-            if spec.trace_recorder is not None:
-                raise ValueError(
-                    "SimulationSpec.trace_recorder: trace recording "
-                    "preserves batch order and only runs with in-process "
-                    "shards (workers=1)"
-                )
-            for index, sensor in enumerate(spec.sensors):
-                if sensor.total_probes:
-                    raise ValueError(
-                        f"SimulationSpec.sensors[{index}] "
-                        f"({sensor.name!r}): process-pool shard mode "
-                        "needs sensors without prior observations"
-                    )
-            for index, grid in enumerate(spec.sensor_grids):
-                if grid.payload_counts().any():
-                    raise ValueError(
-                        f"SimulationSpec.sensor_grids[{index}]: "
-                        "process-pool shard mode needs grids without "
-                        "prior observations"
-                    )
-        if transport not in ("ring", "shmem", "pickle"):
-            raise ValueError(
-                "ShardedSimulator.transport: expected 'ring', 'shmem' "
-                f"or 'pickle', got {transport!r}"
-            )
-        if heartbeat is not None and heartbeat <= 0:
-            raise ValueError(
-                "ShardedSimulator.heartbeat must be positive, "
-                f"got {heartbeat}"
+                "population (no prior infections or immunizations) — "
+                "shard slices start from the bare address table"
             )
         if resume is not None and resume.get("mode") not in (None, "shard"):
             raise CheckpointError(
@@ -625,46 +465,13 @@ class ShardedSimulator:
             )
         self.spec = spec
         self.plan = plan
-        self.workers = workers
-        self.transport = transport
-        self.heartbeat = heartbeat
         self.checkpointer = checkpointer
         self.resume = resume
-        #: Filled after a pooled run: per-transport byte/round-trip
-        #: counters and overlap timings from
-        #: :meth:`repro.runtime.shardpool.ShardPool.stats`.
-        self.transport_stats: Optional[dict[str, int | float | str]] = None
-
-    # -- public entry -------------------------------------------------
-
-    def run(self, rng: np.random.Generator) -> SimulationResult:
-        """Run the sharded outbreak (bitwise ≡ the serial reference)."""
-        self.transport_stats = None
-        if self.workers > 1:
-            # A pool failure loses worker-resident shard state, so the
-            # recovery is a deterministic restart: pristine population
-            # (validated above), untouched driver-side sensors, and a
-            # pre-consumption copy of the generator.
-            backup = copy.deepcopy(rng)
-            try:
-                return self._run(rng, pooled=True)
-            except _ShardPoolFailure as failure:
-                self.spec.population.reset()
-                record_recovery("serial-rerun", reason=str(failure))
-                warnings.warn(
-                    f"shard worker pool failed ({failure}); re-running "
-                    "all shards in-process (results are identical)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return self._run(backup, pooled=False)  # noqa: RP102 -- pre-consumption rng copy; the serial re-run is bitwise-identical to what the pooled run would have produced
-        return self._run(rng, pooled=False)
 
     # -- the driver loop ---------------------------------------------
 
-    def _run(
-        self, rng: np.random.Generator, pooled: bool
-    ) -> SimulationResult:
+    def run(self, rng: np.random.Generator) -> SimulationResult:
+        """Run the sharded outbreak (bitwise ≡ the serial reference)."""
         spec = self.spec
         config = spec.config
         population = spec.population  # global source of truth
@@ -685,52 +492,17 @@ class ShardedSimulator:
         else:
             seed_addrs = spec.seed_addrs
         seed_addrs = np.asarray(seed_addrs, dtype=np.uint32)
-
-        pool = None
-        engines: list[ShardEngine] = []
-        exchange = _Exchange(self.plan)
-        num_shards = self.plan.num_shards
-        try:
-            if pooled:
-                from repro.runtime.shardpool import ShardPool
-
-                try:
-                    pool = ShardPool(
-                        spec,
-                        num_shards,
-                        self.workers,
-                        transport=self.transport,
-                        heartbeat=self.heartbeat,
-                        # Supervision needs the checkpoint cadence to
-                        # bound the replay buffer; without one, a pool
-                        # failure degrades to the serial re-run.
-                        supervise=self.checkpointer is not None,
-                    )
-                except Exception as error:
-                    raise _ShardPoolFailure(str(error)) from error
-
-            else:
-                engines = [
-                    ShardEngine(spec, shard_id)
-                    for shard_id in range(num_shards)
-                ]
-
-            result = self._drive(
-                rng, seed_addrs, engines, pool, exchange
-            )
-            if pool is not None:
-                self.transport_stats = pool.stats()
-            return result
-        finally:
-            if pool is not None:
-                pool.close()
+        engines = [
+            ShardEngine(spec, shard_id)
+            for shard_id in range(self.plan.num_shards)
+        ]
+        return self._drive(rng, seed_addrs, engines, _Exchange(self.plan))
 
     def _drive(
         self,
         rng: np.random.Generator,
         seed_addrs: np.ndarray,
         engines: list[ShardEngine],
-        pool: Optional["ShardPool"],
         exchange: _Exchange,
     ) -> SimulationResult:
         spec = self.spec
@@ -747,30 +519,13 @@ class ShardedSimulator:
             infected_now = population.infect(seed_addrs)
             worm.add_hosts(state, infected_now, rng)
             seed_owner = self.plan.owner_of(infected_now)
-            if pool is not None:
-                pool.seed(
-                    [
-                        infected_now[seed_owner == shard_id]
-                        for shard_id in range(num_shards)
-                    ]
-                )
-            else:
-                for shard_id, engine in enumerate(engines):
-                    engine.seed(infected_now[seed_owner == shard_id])
+            for shard_id, engine in enumerate(engines):
+                engine.seed(infected_now[seed_owner == shard_id])
         else:
-            # Deep-copied so the pool-failure re-run restoring from
-            # the same payload starts from unconsumed worm state.
+            # Deep-copied so the resume payload stays reusable.
             state = copy.deepcopy(resume["worm_state"])
             infected_now = np.empty(0, dtype=np.uint32)
-            self._restore_engines(resume, engines, pool)
-        pending_immunize: list[list[np.ndarray]] = [
-            [] for _ in range(num_shards)
-        ]
-        if resume is not None:
-            pending_immunize = [
-                [np.array(batch, dtype=np.uint32) for batch in queued]
-                for queued in resume["pending_immunize"]
-            ]
+            self._restore_engines(resume, engines)
 
         # Per-host policy membership cache for the det verdict tables
         # (mirrors the engine's host_policy_indices cache; consumes no
@@ -919,137 +674,91 @@ class ShardedSimulator:
                 timer.lap("filter")
 
                 fresh_per_shard: list[np.ndarray] = []
-                if pool is not None:
-                    # Streamed pipelined dispatch: each shard's routed
-                    # bucket is gathered and handed to the pool the
-                    # moment the counting partition produces it, so the
-                    # first workers compute while the driver is still
-                    # partitioning and staging the rest.  Every RNG
-                    # draw already happened above, in serial batch
-                    # order — the overlap window consumes none (the
-                    # RP105 flow rule polices this).
-                    try:
-                        pool.begin_tick()
-                        for shard_id, bucket in exchange.stream(
-                            flat_targets
-                        ):
-                            payload = (
+                # The exchange: route every probe to the shard owning
+                # its target, preserving batch order per shard.
+                exchange.route(flat_targets)
+                timer.lap("route")
+                shard_targets = exchange.slices(
+                    exchange.permute(flat_targets, "targets")
+                )
+                shard_sources = exchange.slices(
+                    exchange.permute(flat_sources, "sources")
+                )
+                shard_policy: list[Optional[np.ndarray]]
+                if source_indices is not None:
+                    shard_policy = list(
+                        exchange.slices(
+                            exchange.permute(source_indices, "policy")
+                        )
+                    )
+                else:
+                    shard_policy = [None] * num_shards
+                shard_loss: list[Optional[np.ndarray]]
+                if loss_active:
+                    shard_loss = list(
+                        exchange.slices(exchange.permute(loss_ok, "loss"))
+                    )
+                else:
+                    shard_loss = [None] * num_shards
+                timer.lap("exchange")
+
+                if needs_global_mask:
+                    # Containment / tracing need the whole batch's mask
+                    # in original order: collect per-shard deterministic
+                    # verdicts, compose globally, then hand each shard
+                    # its final delivered mask.
+                    det_perm = np.empty(len(flat_targets), dtype=bool)
+                    det_slices = exchange.slices(det_perm)
+                    slot_list = []
+                    for shard_id, engine in enumerate(engines):
+                        det, slots = engine.deterministic(
+                            shard_sources[shard_id],
+                            shard_targets[shard_id],
+                            shard_policy[shard_id],
+                        )
+                        det_slices[shard_id][:] = det
+                        slot_list.append(slots)
+                    ok = exchange.scatter(
+                        det_perm,
+                        np.empty(len(flat_targets), dtype=bool),
+                    )
+                    np.logical_and(ok, loss_ok, out=ok)
+                    if containment is not None:
+                        ok = containment.filter_probes(ok, now, rng)
+                    delivered_probes += int(ok.sum())
+                    mask_slices = exchange.slices(
+                        exchange.permute(ok, "delivered")
+                    )
+                    if spec.trace_recorder is not None:
+                        spec.trace_recorder.record(
+                            now,
+                            flat_sources[ok],
+                            flat_targets[ok],
+                            worm=worm.name,
+                        )
+                    for shard_id, engine in enumerate(engines):
+                        fresh_per_shard.append(
+                            engine.finish(
                                 now,
-                                exchange.gather(
-                                    flat_sources, bucket, "sources"
-                                ),
-                                exchange.gather(
-                                    flat_targets, bucket, "targets"
-                                ),
-                                exchange.gather(
-                                    source_indices, bucket, "policy"
-                                )
-                                if source_indices is not None
-                                else None,
-                                exchange.gather(loss_ok, bucket, "loss")
-                                if loss_active
-                                else None,
-                                _drain_pending(pending_immunize, shard_id),
+                                shard_sources[shard_id],
+                                shard_targets[shard_id],
+                                slot_list[shard_id],
+                                mask_slices[shard_id],
                             )
-                            timer.lap("stage")
-                            pool.dispatch_shard(shard_id, payload)
-                            timer.lap("dispatch")
-                        replies = pool.collect(timer)
-                    except Exception as error:
-                        raise _ShardPoolFailure(str(error)) from error
-                    for fresh, delivered in replies:
+                        )
+                    timer.lap("shards")
+                else:
+                    for shard_id, engine in enumerate(engines):
+                        fresh, delivered = engine.process(
+                            now,
+                            shard_sources[shard_id],
+                            shard_targets[shard_id],
+                            shard_policy[shard_id],
+                            shard_loss[shard_id],
+                        )
                         fresh_per_shard.append(fresh)
                         delivered_probes += delivered
-                else:
-                    # The exchange: route every probe to the shard
-                    # owning its target, preserving batch order per
-                    # shard.
-                    exchange.route(flat_targets)
-                    timer.lap("route")
-                    shard_targets = exchange.slices(
-                        exchange.permute(flat_targets, "targets")
-                    )
-                    shard_sources = exchange.slices(
-                        exchange.permute(flat_sources, "sources")
-                    )
-                    shard_policy: list[Optional[np.ndarray]]
-                    if source_indices is not None:
-                        shard_policy = list(
-                            exchange.slices(
-                                exchange.permute(source_indices, "policy")
-                            )
-                        )
-                    else:
-                        shard_policy = [None] * num_shards
-                    shard_loss: list[Optional[np.ndarray]]
-                    if loss_active:
-                        shard_loss = list(
-                            exchange.slices(
-                                exchange.permute(loss_ok, "loss")
-                            )
-                        )
-                    else:
-                        shard_loss = [None] * num_shards
-                    timer.lap("exchange")
-
-                    if needs_global_mask:
-                        # Containment / tracing need the whole batch's
-                        # mask in original order: collect per-shard
-                        # deterministic verdicts, compose globally,
-                        # then hand each shard its final delivered
-                        # mask.
-                        det_perm = np.empty(len(flat_targets), dtype=bool)
-                        det_slices = exchange.slices(det_perm)
-                        slot_list = []
-                        for shard_id, engine in enumerate(engines):
-                            det, slots = engine.deterministic(
-                                shard_sources[shard_id],
-                                shard_targets[shard_id],
-                                shard_policy[shard_id],
-                            )
-                            det_slices[shard_id][:] = det
-                            slot_list.append(slots)
-                        ok = exchange.scatter(
-                            det_perm,
-                            np.empty(len(flat_targets), dtype=bool),
-                        )
-                        np.logical_and(ok, loss_ok, out=ok)
-                        if containment is not None:
-                            ok = containment.filter_probes(ok, now, rng)
-                        delivered_probes += int(ok.sum())
-                        mask_slices = exchange.slices(
-                            exchange.permute(ok, "delivered")
-                        )
-                        if spec.trace_recorder is not None:
-                            spec.trace_recorder.record(
-                                now,
-                                flat_sources[ok],
-                                flat_targets[ok],
-                                worm=worm.name,
-                            )
-                        for shard_id, engine in enumerate(engines):
-                            fresh_per_shard.append(
-                                engine.finish(
-                                    now,
-                                    shard_sources[shard_id],
-                                    shard_targets[shard_id],
-                                    slot_list[shard_id],
-                                    mask_slices[shard_id],
-                                )
-                            )
-                        timer.lap("shards")
-                    else:
-                        for shard_id, engine in enumerate(engines):
-                            fresh, delivered = engine.process(
-                                now,
-                                shard_sources[shard_id],
-                                shard_targets[shard_id],
-                                shard_policy[shard_id],
-                                shard_loss[shard_id],
-                            )
-                            fresh_per_shard.append(fresh)
-                            delivered_probes += delivered
-                        timer.lap("shards")
+                    timer.lap("shards")
 
                 # Merge the infection streams: per-shard arrays are
                 # sorted-unique within disjoint ascending intervals,
@@ -1078,15 +787,7 @@ class ShardedSimulator:
                     patch_owner = self.plan.owner_of(patched)
                     for shard_id in range(num_shards):
                         owned = patched[patch_owner == shard_id]
-                        if not len(owned):
-                            continue
-                        if pool is not None:
-                            # Applied at the start of the shard's next
-                            # tick — before any further population
-                            # reads, so timing is equivalent.
-                            pending_immunize[shard_id].append(owned)
-                        else:
-                            engines[shard_id].immunize(owned)
+                        engines[shard_id].immunize(owned)
 
             if containment is not None:
                 containment.update(now)
@@ -1103,27 +804,14 @@ class ShardedSimulator:
                     rng,
                     state,
                     engines,
-                    pool,
                     arena,
                     uniform_fast,
-                    pending_immunize,
                     times,
                     infected_counts,
                     infection_times,
                     total_probes,
                     delivered_probes,
                 )
-
-        if pool is not None:
-            try:
-                collected = pool.collect_sensors()
-            except Exception as error:
-                raise _ShardPoolFailure(str(error)) from error
-            for sensors, grids in collected:
-                for sensor, clone in zip(spec.sensors, sensors):
-                    sensor.absorb(clone)
-                for grid, clone in zip(spec.sensor_grids, grids):
-                    grid.absorb(clone)
 
         return SimulationResult(
             times=np.array(times),
@@ -1137,69 +825,21 @@ class ShardedSimulator:
     # -- checkpoint plumbing -------------------------------------------
 
     def _restore_engines(
-        self,
-        resume: dict,
-        engines: list[ShardEngine],
-        pool: Optional["ShardPool"],
+        self, resume: dict, engines: list[ShardEngine]
     ) -> None:
         """Load per-shard state from a resume payload into the shards.
 
-        Pool-mode checkpoints store per-shard sensor clones inside
-        each engine snapshot (``layout == "pool"``); in-process
-        checkpoints store engine snapshots without sensors plus one
-        global snapshot per shared sensor object
-        (``layout == "inproc"``).  A pool checkpoint restores into an
-        in-process run by merging the per-shard sensor states (exact:
-        shard boundaries are /24-aligned); the reverse split is not
-        defined, so restoring an in-process checkpoint into pool
-        workers refuses by name.
+        The engines share the spec's sensor objects, so the payload
+        stores engine snapshots without sensors plus one global
+        snapshot per sensor and grid.
         """
         spec = self.spec
-        layout = resume.get("layout")
-        if pool is not None:
-            if layout != "pool":
-                raise CheckpointError(
-                    f"checkpoint.layout: snapshot stores {layout!r} "
-                    "shard state (shared in-process sensors), which "
-                    "cannot be split back into per-shard pool clones — "
-                    "resume with shard_workers=1, or restore a "
-                    "pool-mode checkpoint"
-                )
-            try:
-                pool.seed(
-                    [np.empty(0, dtype=np.uint32)]
-                    * self.plan.num_shards
-                )
-                pool.restore(resume["engines"])
-            except Exception as error:
-                raise _ShardPoolFailure(str(error)) from error
-            return
         for engine, snapshot in zip(engines, resume["engines"]):
-            engine.state_restore(snapshot, restore_sensors=False)
-        if layout == "pool":
-            for index, sensor in enumerate(spec.sensors):
-                sensor.state_restore(
-                    DarknetSensor.merge_snapshots(
-                        [
-                            snapshot["sensors"][index]
-                            for snapshot in resume["engines"]
-                        ]
-                    )
-                )
-            for index, grid in enumerate(spec.sensor_grids):
-                grid.state_restore(
-                    SensorGrid.merge_snapshots(
-                        [
-                            snapshot["grids"][index]
-                            for snapshot in resume["engines"]
-                        ]
-                    )
-                )
-        else:
-            for sensor, snapshot in zip(spec.sensors, resume["sensors"]):
-                sensor.state_restore(snapshot)
-            for grid, snapshot in zip(spec.sensor_grids, resume["grids"]):
-                grid.state_restore(snapshot)
+            engine.state_restore(snapshot)
+        for sensor, snapshot in zip(spec.sensors, resume["sensors"]):
+            sensor.state_restore(snapshot)
+        for grid, snapshot in zip(spec.sensor_grids, resume["grids"]):
+            grid.state_restore(snapshot)
 
     def _capture(
         self,
@@ -1208,10 +848,8 @@ class ShardedSimulator:
         rng: np.random.Generator,
         state: "WormState",
         engines: list[ShardEngine],
-        pool: Optional["ShardPool"],
         arena: TickArena,
         uniform_fast: bool,
-        pending_immunize: list[list[np.ndarray]],
         times: list[float],
         infected_counts: list[int],
         infection_times: list[float],
@@ -1220,39 +858,21 @@ class ShardedSimulator:
     ) -> None:
         """Write one shard-mode checkpoint of the full run state."""
         spec = self.spec
-        if pool is not None:
-            try:
-                engines_state = pool.snapshot()
-            except Exception as error:
-                raise _ShardPoolFailure(str(error)) from error
-            layout = "pool"
-            sensor_state = None
-            grid_state = None
-        else:
-            engines_state = [
-                engine.state_snapshot(include_sensors=False)
-                for engine in engines
-            ]
-            layout = "inproc"
-            sensor_state = [
-                sensor.state_snapshot() for sensor in spec.sensors
-            ]
-            grid_state = [
-                grid.state_snapshot() for grid in spec.sensor_grids
-            ]
         carry = None
         if not uniform_fast:
             carry = arena.accumulator(state.num_hosts).copy()
         checkpointer.write(
             tick,
             {
-                "layout": layout,
+                "layout": SHARD_LAYOUT,
                 "rng_state": rng.bit_generator.state,
                 "worm_state": state,
                 "population": spec.population.state_snapshot(),
-                "engines": engines_state,
-                "sensors": sensor_state,
-                "grids": grid_state,
+                "engines": [engine.state_snapshot() for engine in engines],
+                "sensors": [
+                    sensor.state_snapshot() for sensor in spec.sensors
+                ],
+                "grids": [grid.state_snapshot() for grid in spec.sensor_grids],
                 "containment": (
                     spec.containment.state_snapshot()
                     if spec.containment is not None
@@ -1264,9 +884,6 @@ class ShardedSimulator:
                     else None
                 ),
                 "accumulator": carry,
-                "pending_immunize": [
-                    list(queued) for queued in pending_immunize
-                ],
                 "times": list(times),
                 "infected_counts": list(infected_counts),
                 "infection_times": list(infection_times),
@@ -1274,21 +891,6 @@ class ShardedSimulator:
                 "delivered_probes": delivered_probes,
             },
         )
-
-
-class _ShardPoolFailure(RuntimeError):
-    """The shard worker pool became unusable mid-run."""
-
-
-def _drain_pending(
-    pending: list[list[np.ndarray]], shard_id: int
-) -> Optional[np.ndarray]:
-    """Pop a shard's queued immunizations as one array (or ``None``)."""
-    if not pending[shard_id]:
-        return None
-    batch = np.concatenate(pending[shard_id])
-    pending[shard_id] = []
-    return batch
 
 
 def as_shard_plan(

@@ -83,9 +83,9 @@ class SimulationSpec:
     sensors, sensor_grids:
         Darknet sensors and /24 sensor grids observing the outbreak.
     containment:
-        Optional quorum-triggered containment (in-process shards only).
+        Optional quorum-triggered containment.
     trace_recorder:
-        Optional delivered-probe trace sink (in-process shards only).
+        Optional delivered-probe trace sink.
     scan_rate, tick_seconds, max_time, seed_count, stop_at_fraction,
     patch_rate:
         The tick budget — the former ``SimulationConfig`` knobs,
@@ -328,11 +328,8 @@ def simulate(
     spec: SimulationSpec,
     rng: SeedLike,
     *,
-    shard_workers: int = 1,
-    shard_transport: str = "ring",
     checkpoint_dir: "Union[str, os.PathLike[str], None]" = None,
     restore_from: "Union[str, os.PathLike[str], None]" = None,
-    shard_heartbeat: Optional[float] = None,
 ) -> SimulationResult:
     """Run one outbreak described by a spec.
 
@@ -340,21 +337,14 @@ def simulate(
     With a shard plan (and kernels enabled), the sharded engine runs —
     bitwise-identical to the serial reference; under
     ``kernel_override(False)`` the same spec takes the serial
-    reference path, like every compiled kernel.  ``shard_workers > 1``
-    fans shards out over worker processes (results unchanged);
-    ``shard_transport`` picks how pooled batches move — the pipelined
-    command-ring transport over double-buffered shared-memory arenas
-    (``"ring"``, default), single-buffered arenas with one executor
-    submit per shard-tick (``"shmem"``), or the executor pickle pipe
-    (``"pickle"``) — with no effect on results.
+    reference path, like every compiled kernel.
 
     ``checkpoint_dir`` (with ``spec.checkpoint_every`` set) persists
     the full run state at the spec's cadence; ``restore_from`` names a
     checkpoint file or directory to resume — the snapshot is validated
     against this spec's hash and execution mode before any state is
     touched, and the resumed run continues bitwise-identically to an
-    uninterrupted one.  ``shard_heartbeat`` bounds how long a pooled
-    tick waits on any one shard worker before treating it as hung.
+    uninterrupted one.
     """
     generator = (
         rng
@@ -393,12 +383,7 @@ def simulate(
         )
     if sharded:
         return ShardedSimulator(
-            spec,
-            workers=shard_workers,
-            transport=shard_transport,
-            heartbeat=shard_heartbeat,
-            checkpointer=checkpointer,
-            resume=resume,
+            spec, checkpointer=checkpointer, resume=resume
         ).run(generator)
     return spec.build_simulator().run(
         spec.config,
@@ -412,7 +397,6 @@ def simulate(
 def run_spec_trial(
     spec: SimulationSpec,
     seed: "int | np.random.SeedSequence",
-    shard_workers: int = 1,
     checkpoint_dir: "Union[str, os.PathLike[str], None]" = None,
     restore_from: "Union[str, os.PathLike[str], None]" = None,
 ) -> SimulationResult:
@@ -426,7 +410,6 @@ def run_spec_trial(
     return simulate(
         spec,
         seed,
-        shard_workers=shard_workers,
         checkpoint_dir=checkpoint_dir,
         restore_from=restore_from,
     )

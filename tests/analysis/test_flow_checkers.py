@@ -1,4 +1,4 @@
-"""Tests for the RP101–RP105 cross-module flow checkers.
+"""Tests for the RP101–RP104 cross-module flow checkers.
 
 Each checker runs against a miniature project under
 ``tests/analysis/flow_fixtures/<code>/`` — its own ``src/repro``
@@ -7,7 +7,7 @@ the corpus covers: the violations fire, the clean patterns stay
 silent, a *reasoned* ``# noqa`` suppression is honored, and a bare
 ``# noqa`` is reported as missing its reason.
 
-The final class is the self-check: the five checkers produce zero
+The final class is the self-check: the four checkers produce zero
 findings on the repository itself (the acceptance gate for
 ``hotspots lint`` exiting 0 at HEAD).
 """
@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.flow import (
-    DispatchWindowChecker,
     KernelGateCoverageChecker,
     PoolBoundaryPicklabilityChecker,
     RngOrderingChecker,
@@ -227,65 +226,8 @@ class TestKernelGateCoverageRP104:
         assert len(self.findings()) == 2
 
 
-class TestDispatchWindowRP105:
-    def findings(self):
-        return flow_findings(DispatchWindowChecker, "rp105")
-
-    def test_draw_inside_window_is_caught(self):
-        draws = [
-            d
-            for d in self.findings()
-            if "RNG consumed inside the dispatch window" in d.message
-            and "dirty_tick" in d.message
-        ]
-        assert len(draws) == 1
-        assert draws[0].line in marker_lines("src/repro/driver.py", "rp105")
-
-    def test_generator_into_consumer_inside_window_is_caught(self):
-        crossing = [
-            d
-            for d in self.findings()
-            if "a generator flows into _jitter" in d.message
-        ]
-        assert len(crossing) == 1
-        assert "leaky_tick" in crossing[0].message
-        assert crossing[0].line in marker_lines(
-            "src/repro/driver.py", "rp105"
-        )
-
-    def test_window_boundaries_are_reported(self):
-        # The message names the syntactic window so the fix target
-        # (move the draw above the first dispatch) is obvious.
-        assert all(
-            "dispatch window (lines" in d.message
-            for d in self.findings()
-            if "must name a reason" not in d.message
-        )
-
-    def test_clean_patterns_stay_silent(self):
-        clean = marker_lines("src/repro/driver.py", "rp105", marker="# clean")
-        flagged = {d.line for d in self.findings()}
-        assert not clean & flagged
-
-    def test_pre_window_and_post_window_draws_are_clean(self):
-        assert all(
-            "clean_tick" not in d.message and "windowless" not in d.message
-            for d in self.findings()
-        )
-
-    def test_reasoned_noqa_is_honored_and_bare_noqa_reports(self):
-        findings = self.findings()
-        reasons = [d for d in findings if "must name a reason" in d.message]
-        assert len(reasons) == 1
-        assert "unexplained_tick" in reasons[0].message
-        assert all("blessed_tick" not in d.message for d in findings)
-
-    def test_exact_finding_count(self):
-        assert len(self.findings()) == 3  # 2 violations + 1 missing-reason
-
-
 class TestRepoSelfCheck:
-    """The five checkers are clean on the repository at HEAD."""
+    """The four checkers are clean on the repository at HEAD."""
 
     @pytest.mark.parametrize(
         "checker_class",
@@ -294,7 +236,6 @@ class TestRepoSelfCheck:
             RngOrderingChecker,
             PoolBoundaryPicklabilityChecker,
             KernelGateCoverageChecker,
-            DispatchWindowChecker,
         ],
     )
     def test_flow_checker_is_clean_on_repo(self, checker_class):

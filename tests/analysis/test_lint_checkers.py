@@ -311,7 +311,7 @@ class TestCheckerRegistry:
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
         assert codes == [f"RP00{n}" for n in range(1, 8)] + [
-            f"RP10{n}" for n in range(1, 6)
+            f"RP10{n}" for n in range(1, 5)
         ]
 
     def test_every_checker_has_a_rationale(self):

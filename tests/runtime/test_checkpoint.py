@@ -15,7 +15,6 @@ import pytest
 
 from repro.population.model import HostPopulation
 from repro.runtime.checkpoint import (
-    FORMAT_NAME,
     FORMAT_VERSION,
     CheckpointError,
     Checkpointer,
@@ -260,14 +259,14 @@ class TestRecoveryCollection:
         with recovery_collection() as outer:
             record_recovery("checkpoint", tick=4)
             with recovery_collection() as inner:
-                record_recovery("worker-respawn", shard=1)
+                record_recovery("restore", tick=4, path="ckpt")
             record_recovery("restore", tick=4)
         assert [event["kind"] for event in outer.events] == [
             "checkpoint",
-            "worker-respawn",
+            "restore",
             "restore",
         ]
-        assert inner.events == [{"kind": "worker-respawn", "shard": 1}]
+        assert inner.events == [{"kind": "restore", "tick": 4, "path": "ckpt"}]
 
     def test_recording_without_a_collection_is_a_no_op(self):
         record_recovery("checkpoint", tick=0)  # must not raise

@@ -9,6 +9,10 @@ property — that the recovered campaign equals a clean serial one
 bit for bit.
 """
 
+import multiprocessing
+import os
+from multiprocessing.connection import wait
+
 import numpy as np
 import pytest
 
@@ -127,6 +131,41 @@ class TestTimeouts:
             "not enforced under serial" in event
             for event in report.fallback_events
         )
+
+
+def exit_at_once():
+    """A worker body that returns immediately; module-level for spawn."""
+
+
+class ReapedPool:
+    """The slice of ``ProcessPoolExecutor`` that pool teardown reads,
+    holding one worker that another waiter has already reaped."""
+
+    _executor_manager_thread = None
+
+    def __init__(self, process):
+        self._processes = {process.pid: process}
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
+
+
+class TestPoolTeardown:
+    def test_worker_reaped_by_another_waiter_counts_as_exited(self):
+        # The executor's manager thread may waitpid() a dead worker
+        # before the runner checks liveness; waitpid then fails with
+        # ECHILD and is_alive() reads the dead worker as running.
+        # Reaping the child here first fixes that order.
+        process = multiprocessing.Process(target=exit_at_once)
+        process.start()
+        assert wait([process.sentinel], timeout=60), "child never exited"
+        os.waitpid(process.pid, 0)
+        try:
+            assert TrialRunner._terminate_pool(ReapedPool(process)) is True
+        finally:
+            # Untrack the already-reaped child so no later
+            # active_children() poll can waitpid() a reused pid.
+            multiprocessing.process._children.discard(process)
 
 
 class TestWorkerDeath:
@@ -283,18 +322,18 @@ def ok_report(**overrides):
 
 
 class TestRecoveryReporting:
-    """RunReport surfaces checkpoint/supervision events to the CLI."""
+    """RunReport surfaces checkpoint/restore events to the CLI."""
 
     EVENTS = (
         {"kind": "checkpoint", "tick": 4},
         {"kind": "checkpoint", "tick": 9},
-        {"kind": "worker-respawn", "shard": 2, "reason": "exit code 86"},
+        {"kind": "restore", "tick": 9, "path": "ckpt/tick-00000009.ckpt"},
     )
 
     def test_checkpoints_are_not_recoveries(self):
         report = ok_report(recovery_events=self.EVENTS)
         assert len(report.recovery_events) == 3
-        assert [e["kind"] for e in report.recoveries] == ["worker-respawn"]
+        assert [e["kind"] for e in report.recoveries] == ["restore"]
 
     def test_uneventful_tolerates_routine_checkpoints(self):
         assert ok_report(recovery_events=self.EVENTS[:2]).uneventful
@@ -307,7 +346,7 @@ class TestRecoveryReporting:
 
     def test_describe_details_each_recovery(self):
         described = ok_report(recovery_events=self.EVENTS).describe()
-        assert "recovery: worker-respawn" in described
-        assert "shard=2" in described and "exit code 86" in described
+        assert "recovery: restore" in described
+        assert "tick=9" in described and "tick-00000009.ckpt" in described
         # Routine checkpoints stay out of the detail lines.
         assert "recovery: checkpoint" not in described

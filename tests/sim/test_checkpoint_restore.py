@@ -4,17 +4,10 @@ The contract of :mod:`repro.runtime.checkpoint` at the engine level:
 a run that checkpoints is undisturbed by the capture; a run restored
 from any checkpoint finishes with the same ``SimulationResult`` and
 the same sensor/grid/containment state as one that never stopped —
-across the serial engine, in-process shards (K in {1,2,4,8}), the
-supervised worker pool, and even *across layouts* (a pool-mode
-checkpoint restores into an in-process run).  The supervision half:
-a shard worker killed mid-run is respawned and replayed from the
-last checkpoint, never the whole-run serial fallback (unless the
-respawn budget is exhausted — and then the fallback is still
-bitwise-correct).
+across the serial engine and in-process shards (K in {1,2,4,8}).
+Snapshots that do not belong to the run (another spec, another mode,
+a retired layout, a truncated file) refuse by field name.
 """
-
-import json
-import warnings
 
 import numpy as np
 import pytest
@@ -25,13 +18,13 @@ from repro.env.filtering import FilterRule, FilteringPolicy
 from repro.net.cidr import BlockSet, CIDRBlock
 from repro.net.kernels import kernel_override
 from repro.population.model import HostPopulation
-from repro.runtime import shardpool
 from repro.runtime.checkpoint import (
     CheckpointError,
+    Checkpointer,
     latest_checkpoint,
     recovery_collection,
+    spec_hash,
 )
-from repro.runtime.faults import MIDRUN_FAULT_ENV
 from repro.sensors.darknet import ims_standard_deployment
 from repro.sensors.deployment import SensorGrid
 from repro.sim.containment import QuorumTriggeredContainment
@@ -120,11 +113,11 @@ def assert_sensor_state_equal(spec_a, spec_b):
 
 
 def checkpoint_restore_roundtrip(
-    build, tmp_path, *, shards=None, workers=1, every=7, **overrides
+    build, tmp_path, *, shards=None, every=7, **overrides
 ):
     """Clean vs checkpointed vs restored — all three must agree."""
     reference_spec = build(shards=shards, **overrides)
-    reference = simulate(reference_spec, 42, shard_workers=workers)
+    reference = simulate(reference_spec, 42)
 
     checkpointed_spec = build(
         shards=shards, checkpoint_every=every, **overrides
@@ -132,16 +125,13 @@ def checkpoint_restore_roundtrip(
     checkpointed = simulate(
         checkpointed_spec,
         42,
-        shard_workers=workers,
         checkpoint_dir=tmp_path,
     )
     assert checkpointed == reference, "capture disturbed the run"
     assert_sensor_state_equal(reference_spec, checkpointed_spec)
 
     restored_spec = build(shards=shards, **overrides)
-    restored = simulate(
-        restored_spec, 42, shard_workers=workers, restore_from=tmp_path
-    )
+    restored = simulate(restored_spec, 42, restore_from=tmp_path)
     assert restored == reference, "restored run diverged"
     assert_sensor_state_equal(reference_spec, restored_spec)
     return reference
@@ -221,50 +211,6 @@ class TestShardedRoundtrip:
         checkpoint_restore_roundtrip(build, tmp_path, shards=4)
 
 
-class TestPoolRoundtrip:
-    def test_pool(self, tmp_path):
-        checkpoint_restore_roundtrip(
-            figure_spec, tmp_path, shards=4, workers=2
-        )
-
-    def test_pool_fractional_rate(self, tmp_path):
-        checkpoint_restore_roundtrip(
-            figure_spec, tmp_path, shards=4, workers=2, scan_rate=2.5
-        )
-
-    def test_pool_checkpoint_restores_in_process(self, tmp_path):
-        # Cross-layout restore: the pool's per-worker sensor clones
-        # merge back into the shared in-process sensors exactly.
-        reference_spec = figure_spec(shards=4)
-        reference = simulate(reference_spec, 42)
-        simulate(
-            figure_spec(shards=4, checkpoint_every=7),
-            42,
-            shard_workers=2,
-            checkpoint_dir=tmp_path,
-        )
-        restored_spec = figure_spec(shards=4)
-        restored = simulate(restored_spec, 42, restore_from=tmp_path)
-        assert restored == reference
-        assert_sensor_state_equal(reference_spec, restored_spec)
-
-    def test_inproc_checkpoint_refuses_pool_restore(self, tmp_path):
-        # The reverse split (shared sensors back into per-worker
-        # clones) is impossible; the refusal names the field.
-        simulate(
-            figure_spec(shards=4, checkpoint_every=7),
-            42,
-            checkpoint_dir=tmp_path,
-        )
-        with pytest.raises(CheckpointError, match="checkpoint.layout"):
-            simulate(
-                figure_spec(shards=4),
-                42,
-                shard_workers=2,
-                restore_from=tmp_path,
-            )
-
-
 class TestRestoreValidation:
     def test_wrong_spec_refuses(self, tmp_path):
         simulate(
@@ -319,122 +265,19 @@ class TestRestoreValidation:
         with pytest.raises(TypeError, match="checkpoint_every"):
             figure_spec(checkpoint_every=2.5)
 
+    def test_pool_layout_checkpoint_refuses(self, tmp_path):
+        # Process-pool shard runs wrote per-worker sensor clones under
+        # layout "pool"; that layout is retired, so a matching header
+        # with such a payload must refuse by name, never mis-restore.
+        spec = figure_spec(shards=4)
+        Checkpointer(
+            tmp_path, every=7, spec_hash=spec_hash(spec), mode="shard"
+        ).write(6, {"layout": "pool", "engines": [], "sensors": None})
+        with pytest.raises(CheckpointError, match="checkpoint.layout"):
+            simulate(spec, 42, restore_from=tmp_path)
 
-class TestSupervision:
-    """A killed shard worker recovers via respawn + replay, never the
-    whole-run serial fallback — and the result is still bitwise."""
 
-    def run_with_kill(self, tmp_path, monkeypatch, *, tick=9, shard=0):
-        monkeypatch.setenv(
-            MIDRUN_FAULT_ENV,
-            json.dumps(
-                {"kind": "kill-worker", "tick": tick, "shard": shard}
-            ),
-        )
-        with recovery_collection() as log:
-            result = simulate(
-                figure_spec(shards=4, checkpoint_every=4),
-                42,
-                shard_workers=2,
-                checkpoint_dir=tmp_path,
-            )
-        return result, log.events
-
-    def test_killed_worker_respawns_from_checkpoint(
-        self, tmp_path, monkeypatch
-    ):
-        reference = simulate(figure_spec(shards=4), 42, shard_workers=2)
-        # filterwarnings("error") above: a serial-fallback
-        # RuntimeWarning would fail this test outright.
-        result, events = self.run_with_kill(tmp_path, monkeypatch)
-        kinds = [event["kind"] for event in events]
-        assert result == reference
-        assert "worker-respawn" in kinds
-        assert "serial-rerun" not in kinds
-        respawn = next(
-            event for event in events if event["kind"] == "worker-respawn"
-        )
-        assert respawn["shard"] == 0
-        assert respawn["tick"] == 9
-        # Checkpoint at tick 7, kill at tick 9: tick 8 replays from
-        # the buffer, then tick 9 itself is re-issued (not counted).
-        assert respawn["replayed_ticks"] == 1
-
-    def test_hung_worker_detected_by_heartbeat(
-        self, tmp_path, monkeypatch
-    ):
-        reference = simulate(figure_spec(shards=2), 42, shard_workers=2)
-        monkeypatch.setenv(
-            MIDRUN_FAULT_ENV,
-            json.dumps(
-                {
-                    "kind": "hang-worker",
-                    "tick": 6,
-                    "shard": 0,
-                    "seconds": 60.0,
-                }
-            ),
-        )
-        with recovery_collection() as log:
-            result = simulate(
-                figure_spec(shards=2, checkpoint_every=4),
-                42,
-                shard_workers=2,
-                checkpoint_dir=tmp_path,
-                shard_heartbeat=2.0,
-            )
-        kinds = [event["kind"] for event in log.events]
-        assert result == reference
-        assert "worker-respawn" in kinds
-        assert "serial-rerun" not in kinds
-        respawn = next(
-            event
-            for event in log.events
-            if event["kind"] == "worker-respawn"
-        )
-        assert "heartbeat" in respawn["reason"]
-
-    def test_exhausted_respawn_budget_falls_back_serially(
-        self, tmp_path, monkeypatch
-    ):
-        # With the budget zeroed, the same kill must degrade to the
-        # documented serial re-run — and still match bitwise.
-        reference = simulate(figure_spec(shards=4), 42, shard_workers=2)
-        monkeypatch.setattr(shardpool, "MAX_RESPAWNS", 0)
-        monkeypatch.setenv(
-            MIDRUN_FAULT_ENV,
-            json.dumps({"kind": "kill-worker", "tick": 9, "shard": 0}),
-        )
-        with recovery_collection() as log:
-            with pytest.warns(RuntimeWarning, match="re-running"):
-                result = simulate(
-                    figure_spec(shards=4, checkpoint_every=4),
-                    42,
-                    shard_workers=2,
-                    checkpoint_dir=tmp_path,
-                )
-        kinds = [event["kind"] for event in log.events]
-        assert result == reference
-        assert "serial-rerun" in kinds
-
-    def test_unsupervised_pool_still_falls_back_serially(
-        self, monkeypatch
-    ):
-        # Without a checkpointer there is no replay buffer, so the
-        # pre-existing serial fallback remains the recovery path.
-        reference = simulate(figure_spec(shards=4), 42, shard_workers=2)
-        monkeypatch.setenv(
-            MIDRUN_FAULT_ENV,
-            json.dumps({"kind": "kill-worker", "tick": 9, "shard": 0}),
-        )
-        with recovery_collection() as log:
-            with pytest.warns(RuntimeWarning, match="re-running"):
-                result = simulate(
-                    figure_spec(shards=4), 42, shard_workers=2
-                )
-        assert result == reference
-        assert "serial-rerun" in [event["kind"] for event in log.events]
-
+class TestRecoveryEvents:
     def test_recovery_events_include_checkpoints_and_restores(
         self, tmp_path
     ):

@@ -5,10 +5,9 @@ and sensor work happens — never what any stage computes and never how
 the run RNG is consumed (the exchange contract in
 :mod:`repro.sim.shard`).  These tests sweep shard counts, boundary
 edge cases (hosts exactly on breakpoints, empty shards, a single /0
-shard), cross-shard same-tick infection, containment feedback, and the
-process-pool mode with its degrade-to-serial fallback — demanding
-``SimulationResult.__eq__`` (bitwise over every field) plus identical
-sensor state throughout.
+shard), cross-shard same-tick infection and containment feedback —
+demanding ``SimulationResult.__eq__`` (bitwise over every field) plus
+identical sensor state throughout.
 """
 
 import numpy as np
@@ -320,245 +319,3 @@ class TestShardedValidation:
             ValueError, match="SimulationSpec.population.*pristine"
         ):
             ShardedSimulator(spec)
-
-    def test_pool_mode_rejects_containment(self):
-        spec = figure_spec(shards=2)
-        spec = spec.with_(
-            containment=QuorumTriggeredContainment(
-                spec.sensor_grids[0], quorum_fraction=0.05
-            )
-        )
-        with pytest.raises(
-            ValueError, match="SimulationSpec.containment"
-        ):
-            ShardedSimulator(spec, workers=2)
-
-    def test_pool_mode_rejects_dirty_sensors(self):
-        spec = figure_spec(shards=2)
-        sensor = spec.sensors[0]
-        rng = np.random.default_rng(0)
-        block_addrs = rng.integers(
-            sensor.block.network,
-            sensor.block.network + sensor.block.size,
-            size=10,
-            dtype=np.uint64,
-        ).astype(np.uint32)
-        sensor.observe(np.arange(10, dtype=np.uint32), block_addrs)
-        with pytest.raises(
-            ValueError, match=r"SimulationSpec.sensors\[0\]"
-        ):
-            ShardedSimulator(spec, workers=2)
-
-    def test_pool_mode_rejects_dirty_grids(self):
-        spec = figure_spec(shards=2)
-        grid = spec.sensor_grids[0]
-        hit = (grid.prefixes[0].astype(np.uint64) << 8).astype(np.uint32)
-        grid.observe(np.array([hit], dtype=np.uint32), 1.0)
-        with pytest.raises(
-            ValueError, match=r"SimulationSpec.sensor_grids\[0\]"
-        ):
-            ShardedSimulator(spec, workers=2)
-
-
-class TestShardPool:
-    @pytest.mark.parametrize("transport", ["ring", "shmem", "pickle"])
-    def test_pool_run_equals_unsharded(self, transport):
-        reference = figure_spec(seed=23, num_hosts=1500, max_time=10.0)
-        pooled = figure_spec(
-            seed=23, num_hosts=1500, max_time=10.0, shards=4
-        )
-        reference_result = simulate(reference, 23)
-        pooled_result = simulate(
-            pooled, 23, shard_workers=2, shard_transport=transport
-        )
-        assert pooled_result == reference_result
-        assert_sensor_state_equal(reference, pooled)
-
-    def test_shmem_transport_shrinks_pipe_traffic(self):
-        stats = {}
-        for transport in ("shmem", "pickle"):
-            simulator = ShardedSimulator(
-                figure_spec(seed=31, num_hosts=1500, max_time=10.0, shards=2),
-                workers=2,
-                transport=transport,
-            )
-            simulator.run(np.random.default_rng(31))
-            stats[transport] = simulator.transport_stats
-        # Both transports move the same array volume...
-        assert (
-            stats["shmem"]["payload_bytes"]
-            == stats["pickle"]["payload_bytes"]
-            > 0
-        )
-        # ...but shmem ships only tiny control tuples down the pipe.
-        assert stats["pickle"]["pipe_bytes"] == stats["pickle"]["payload_bytes"]
-        assert stats["shmem"]["pipe_bytes"] < stats["shmem"]["payload_bytes"] / 100
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            ShardedSimulator(
-                figure_spec(shards=2), workers=2, transport="carrier-pigeon"
-            )
-
-    def test_pool_failure_degrades_to_serial(self, monkeypatch):
-        import repro.runtime.shardpool as shardpool
-
-        def broken_pool(*args, **kwargs):
-            raise RuntimeError("worker pool exploded")
-
-        monkeypatch.setattr(shardpool, "ShardPool", broken_pool)
-        reference = figure_spec(seed=29, num_hosts=1500, max_time=10.0)
-        pooled = figure_spec(
-            seed=29, num_hosts=1500, max_time=10.0, shards=2
-        )
-        with pytest.warns(RuntimeWarning, match="re-running"):
-            pooled_result = simulate(pooled, 29, shard_workers=2)
-        assert pooled_result == simulate(reference, 29)
-        assert_sensor_state_equal(reference, pooled)
-
-
-class TestShmTransportFaults:
-    """Injected shm-transport faults must degrade to the serial re-run.
-
-    Each fault fires via ``REPRO_SHARD_FAULT`` (the env-JSON idiom of
-    :mod:`repro.runtime.faults`, so it reaches workers under any start
-    method): a worker hard-killed mid-tick, a garbled request header,
-    and a stale epoch — the reader's view of a segment-resize race.
-    All three must produce the serial result bitwise, and leak no
-    ``/dev/shm`` segments.
-    """
-
-    @pytest.mark.parametrize(
-        "kind", ["kill", "garble-header", "stale-epoch"]
-    )
-    def test_fault_degrades_to_serial_bitwise(self, kind, monkeypatch):
-        import glob
-        import json
-
-        from repro.runtime.shardpool import FAULT_ENV
-
-        segments_before = set(glob.glob("/dev/shm/rs*"))
-        monkeypatch.setenv(
-            FAULT_ENV,
-            json.dumps({"kind": kind, "shard": 1, "epoch": 3}),
-        )
-        reference = figure_spec(seed=37, num_hosts=1500, max_time=10.0)
-        pooled = figure_spec(
-            seed=37, num_hosts=1500, max_time=10.0, shards=2
-        )
-        with pytest.warns(RuntimeWarning, match="re-running"):
-            pooled_result = simulate(
-                pooled, 37, shard_workers=2, shard_transport="shmem"
-            )
-        monkeypatch.delenv(FAULT_ENV)
-        assert pooled_result == simulate(reference, 37)
-        assert_sensor_state_equal(reference, pooled)
-        assert set(glob.glob("/dev/shm/rs*")) == segments_before
-
-
-class TestRingTransport:
-    """The pipelined ring transport: counters, faults, back-pressure.
-
-    Bitwise equivalence for the happy path rides on
-    ``TestShardPool.test_pool_run_equals_unsharded``; this class pins
-    the transport-specific contracts — control traffic amortized off
-    the executor pipe, the two ring-specific injected faults, and a
-    one-slot ring forcing the back-pressure loop.
-    """
-
-    def test_tick_path_stays_off_the_executor_pipe(self):
-        simulator = ShardedSimulator(
-            figure_spec(seed=31, num_hosts=1500, max_time=10.0, shards=4),
-            workers=2,
-            transport="ring",
-        )
-        simulator.run(np.random.default_rng(31))
-        stats = simulator.transport_stats
-        assert stats["transport"] == "ring"
-        # Exactly one ring round trip per shard per tick...
-        assert stats["ring_round_trips"] == stats["ticks"] * 4
-        # ...zero pickled payload bytes on the tick path...
-        assert stats["pipe_bytes"] == 0
-        assert stats["payload_bytes"] > 0
-        # ...and executor submits bounded by setup/teardown, not ticks:
-        # far below one round trip per shard per tick.
-        assert 0 < stats["submit_round_trips"] < stats["ring_round_trips"]
-        assert stats["ring_bytes"] >= 2 * stats["ring_round_trips"]
-        assert stats["dispatch_overlap_s"] >= 0.0
-
-    @pytest.mark.parametrize("kind", ["garble-ring"])
-    def test_garbled_ring_slot_degrades_to_serial_bitwise(
-        self, kind, monkeypatch
-    ):
-        import glob
-        import json
-
-        from repro.runtime.shardpool import FAULT_ENV
-
-        segments_before = set(glob.glob("/dev/shm/rs*"))
-        monkeypatch.setenv(
-            FAULT_ENV,
-            json.dumps({"kind": kind, "shard": 1, "epoch": 3}),
-        )
-        reference = figure_spec(seed=37, num_hosts=1500, max_time=10.0)
-        pooled = figure_spec(
-            seed=37, num_hosts=1500, max_time=10.0, shards=2
-        )
-        with pytest.warns(RuntimeWarning, match="re-running"):
-            pooled_result = simulate(
-                pooled, 37, shard_workers=2, shard_transport="ring"
-            )
-        monkeypatch.delenv(FAULT_ENV)
-        assert pooled_result == simulate(reference, 37)
-        assert_sensor_state_equal(reference, pooled)
-        assert set(glob.glob("/dev/shm/rs*")) == segments_before
-
-    def test_stale_doorbell_self_heals_without_degrading(self, monkeypatch):
-        # A withheld doorbell is a *lost wake-up*, not corruption: the
-        # pump's poll timeout must absorb it with no warning, no
-        # fallback, and the identical bitwise result.
-        import glob
-        import json
-        import warnings
-
-        from repro.runtime.shardpool import FAULT_ENV
-
-        segments_before = set(glob.glob("/dev/shm/rs*"))
-        monkeypatch.setenv(
-            FAULT_ENV,
-            json.dumps({"kind": "stale-doorbell", "shard": 1, "epoch": 3}),
-        )
-        reference = figure_spec(seed=37, num_hosts=1500, max_time=10.0)
-        pooled = figure_spec(
-            seed=37, num_hosts=1500, max_time=10.0, shards=2
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            pooled_result = simulate(
-                pooled, 37, shard_workers=2, shard_transport="ring"
-            )
-        monkeypatch.delenv(FAULT_ENV)
-        assert pooled_result == simulate(reference, 37)
-        assert_sensor_state_equal(reference, pooled)
-        assert set(glob.glob("/dev/shm/rs*")) == segments_before
-
-    def test_tiny_ring_backpressure_keeps_equivalence(self, monkeypatch):
-        # Shrink every ring to the protocol minimum (two slots) while
-        # each worker hosts four shards: the driver's per-tick pushes
-        # outrun the ring and must wait out the back-pressure loop
-        # (re-ringing the doorbell) without losing or reordering work.
-        from repro.runtime.ring import MIN_CAPACITY
-
-        import repro.runtime.shardpool as shardpool
-
-        monkeypatch.setattr(shardpool, "_RING_SLOTS", MIN_CAPACITY)
-        reference = figure_spec(seed=23, num_hosts=1500, max_time=10.0)
-        pooled = figure_spec(
-            seed=23, num_hosts=1500, max_time=10.0, shards=8
-        )
-        reference_result = simulate(reference, 23)
-        pooled_result = simulate(
-            pooled, 23, shard_workers=2, shard_transport="ring"
-        )
-        assert pooled_result == reference_result
-        assert_sensor_state_equal(reference, pooled)
