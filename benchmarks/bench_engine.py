@@ -1,10 +1,11 @@
-"""Engine benchmarks: the fused tick pipeline vs the reference path.
+"""Engine benchmarks: the fused tick pipeline vs the reference oracle.
 
 Where :mod:`bench_kernels` measures individual probe-path kernels,
-this suite measures the *whole tick loop* — the fused pipeline
-(:class:`~repro.sim.arena.TickArena` buffers, the uniform-rate fast
-path, and the merged verdict partition) against the reference path
-under ``kernel_override(False)``.  Three sections:
+this suite measures the *whole tick loop* — the shard driver at K=1
+(an unsharded run), with its :class:`~repro.sim.arena.TickArena`
+buffers, uniform-rate fast path and merged verdict partition —
+against the reference oracle under ``kernel_override(False)``.  Three
+sections:
 
 ``fused``
     End-to-end outbreak with an integral per-tick budget, so the
@@ -15,9 +16,10 @@ under ``kernel_override(False)``.  Three sections:
     the uniform fast path and exercises the general arena path
     (accumulator + active-mask + survivor gather).
 ``allocations``
-    tracemalloc peaks for fused vs reference runs, plus the arena's
-    own allocation accounting — steady-state ticks must not grow the
-    arena (O(1) amortized array allocations per tick).
+    tracemalloc peaks for fused vs reference runs, plus the driver's
+    arena accounting (:attr:`ShardedSimulator.allocations`) —
+    steady-state ticks must not grow the arenas (O(1) amortized array
+    allocations per tick).
 
 Every section carries an ``equivalent`` flag: the fused result must
 be bitwise-equal (:func:`repro.runtime.compare.results_equal`) to the
@@ -56,6 +58,8 @@ from repro.runtime.compare import results_equal
 from repro.runtime.perf import perf_collection
 from repro.runtime.runner import Trial, TrialRunner
 from repro.sim.engine import SimulationConfig, run_simulation_trial
+from repro.sim.shard import ShardedSimulator
+from repro.sim.spec import SimulationSpec
 
 
 def _fractional_config(num_hosts: int, num_ticks: int) -> SimulationConfig:
@@ -137,9 +141,13 @@ def bench_fused(
 
 
 def bench_fused_general(
-    num_hosts: int, num_ticks: int, seed: int = 2006, repeats: int = 2
+    num_hosts: int, num_ticks: int, seed: int = 2006, repeats: int = 5
 ) -> dict:
-    """General arena path (fractional rate) vs reference."""
+    """General arena path (fractional rate) vs reference.
+
+    One run lasts ~0.2 s, so the best of five keeps shared-host noise
+    inside the ``--compare`` gate.
+    """
     config = _fractional_config(num_hosts, num_ticks)
 
     fused_result = _run_fused(num_hosts, config, seed)
@@ -169,21 +177,30 @@ def bench_fused_general(
 def bench_allocations(num_hosts: int, num_ticks: int, seed: int = 2006) -> dict:
     """Allocation behaviour: tracemalloc peaks + arena accounting.
 
-    The arena's ``allocations`` counter increments once per buffer
-    growth; steady-state ticks reuse buffers, so the counter must
-    converge well below one-per-tick.  tracemalloc runs make both
-    paths slower by a similar factor — the peaks are comparable, the
-    wall-clock is not (hence no timing here).
+    The driver's ``allocations`` counter (summed over its arenas)
+    increments once per buffer growth; steady-state ticks reuse
+    buffers, so the counter must converge well below one-per-tick.
+    tracemalloc runs make both paths slower by a similar factor — the
+    peaks are comparable, the wall-clock is not (hence no timing
+    here).
     """
     config = _end_to_end_config(num_hosts, num_ticks)
 
     simulator = build_outbreak_simulator(num_hosts, seed)
+    driver = ShardedSimulator(
+        SimulationSpec.from_config(
+            config,
+            worm=simulator.worm,
+            population=simulator.population,
+            environment=simulator.environment,
+            sensors=simulator.sensors,
+        )
+    )
     tracemalloc.start()
-    fused_result = simulator.run(config, np.random.default_rng(seed))
+    fused_result = driver.run(np.random.default_rng(seed))
     _, fused_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    arena = simulator.last_arena
-    arena_allocations = arena.allocations if arena is not None else -1
+    arena_allocations = driver.allocations
 
     tracemalloc.start()
     with kernel_override(False):

@@ -1,14 +1,15 @@
-"""Benchmark: the sharded address-space engine vs the fused baseline.
+"""Benchmark: K address-space shards vs the unsharded run.
 
 Two measurements, each paired with a bitwise-equivalence gate
-against the unsharded fused engine:
+against the unsharded run (the same tick loop at K=1, where the
+exchange is the identity):
 
-* **serial shards** — ``ShardedSimulator`` with K in-process shards
-  (exchange + per-shard verdict/dispatch) vs the single fused engine.
-  It measures pure exchange overhead; the gate is that
-  sharding costs little and changes nothing.  A per-stage breakdown
-  (route / exchange / shards / merge) from one instrumented run shows
-  where the driver's time goes.
+* **serial shards** — K in-process shards (exchange + per-shard
+  verdict/dispatch) vs the unsharded run.  It measures pure exchange
+  overhead; the gate is that sharding costs little and changes
+  nothing.  A per-stage breakdown (generate / filter / dispatch /
+  infect, the same stage names at every K) from one instrumented run
+  shows where the driver's time goes.
 * **million hosts** — the 10^6-host regime that motivates sharding:
   serial reference vs K in-process shards at scale, equivalence-gated
   like everything else.
@@ -47,10 +48,12 @@ from repro.sensors.darknet import ims_standard_deployment
 from repro.sim.spec import SimulationSpec, simulate
 from repro.worms.uniform import UniformScanWorm
 
-#: Quick (CI smoke) and full (tracked baseline) workload sizes.
+#: Quick (CI smoke) and full (tracked baseline) workload sizes.  The
+#: quick serial-shards run lasts about a second, long enough that
+#: host noise stays well inside the 20% ``--compare`` gate.
 QUICK_SIZES = {
-    "num_hosts": 20_000,
-    "num_ticks": 15,
+    "num_hosts": 100_000,
+    "num_ticks": 60,
     "num_shards": 4,
     "million_hosts": 1_000_000,
     "million_ticks": 2,
@@ -124,9 +127,9 @@ def bench_serial_shards(
     num_ticks: int,
     num_shards: int,
     seed: int = 2006,
-    repeats: int = 2,
+    repeats: int = 3,
 ) -> dict:
-    """K in-process shards vs the unsharded fused engine."""
+    """K in-process shards vs the unsharded run."""
 
     def run_unsharded():
         return simulate(
@@ -144,8 +147,8 @@ def bench_serial_shards(
 
     reference_s = _best_of(repeats, run_unsharded)
     sharded_s = _best_of(repeats, run_sharded)
-    # One instrumented run for the driver-stage breakdown (route /
-    # exchange / shards / merge); headline numbers stay uninstrumented.
+    # One instrumented run for the stage breakdown; headline numbers
+    # stay uninstrumented.
     with perf_collection() as timings:
         run_sharded()
     ticks = len(sharded_result.times)

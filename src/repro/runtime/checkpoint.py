@@ -1,20 +1,27 @@
 """Deterministic mid-run checkpoint/restore for simulation runs.
 
 A campaign-scale run that dies at tick 3,999 of 4,000 should not
-start over.  This module gives both execution modes — the serial
-engine and in-process shards — a versioned, content-hashed snapshot
-format written at a configurable tick cadence
+start over.  This module gives the tick loop (the shard driver, at
+any K — an unsharded run is K=1) one versioned, content-hashed
+snapshot format written at a configurable tick cadence
 (``SimulationSpec.checkpoint_every``), and a loader that validates a
-snapshot *belongs* to the spec before any state is touched.
+snapshot *belongs* to the spec before any state is touched.  The
+``kernel_override(False)`` reference oracle does not checkpoint.
 
 File format
 -----------
 One checkpoint is one file, ``tick-<N>.ckpt``::
 
-    {"format": "repro-checkpoint", "version": 1, "spec_hash": ...,
-     "mode": "serial" | "shard", "tick": N,
-     "payload_bytes": ..., "payload_sha256": ...}\\n
+    {"format": "repro-checkpoint", "version": 2, "spec_hash": ...,
+     "tick": N, "payload_bytes": ..., "payload_sha256": ...}\\n
     <payload_bytes bytes of pickled payload>
+
+The payload has one layout at every K: the global population status
+(shard slices are views of it, so their state is re-derived on
+restore), sensor/grid/containment/trace snapshots, the RNG and worm
+state, the scan-accumulator carry and the result series so far.
+Version 1 files (which carried a ``mode`` and a per-shard layout) are
+refused by the version check.
 
 The header line is JSON so a truncated or corrupted file is
 diagnosable without unpickling anything; the payload is validated by
@@ -33,8 +40,10 @@ results: every code path either restores exactly or raises.
 ``spec_hash`` fingerprints the identity-bearing structure of a
 :class:`~repro.sim.spec.SimulationSpec`: worm (by pickle digest —
 worm objects are value-like), population address table, seed
-material, tick budget, shard boundaries, sensor/grid layout,
-containment and environment parameters.  ``checkpoint_every`` itself
+material, tick budget, shard boundaries (an unsharded spec hashes as
+the single /0 shard ``[0]``, so it shares checkpoints with
+``shards=1``), sensor/grid layout, containment and environment
+parameters.  ``checkpoint_every`` itself
 is deliberately excluded — cadence never changes results, so a run
 may be restored under a different cadence.
 
@@ -68,7 +77,7 @@ if TYPE_CHECKING:
 FORMAT_NAME = "repro-checkpoint"
 
 #: The snapshot format version this build reads and writes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Checkpoint files are ``tick-<N>.ckpt`` (zero-padded so the
 #: lexicographically greatest name is the latest tick).
@@ -76,12 +85,6 @@ CHECKPOINT_SUFFIX = ".ckpt"
 
 #: The per-directory append-only index of written checkpoints.
 JOURNAL_NAME = "checkpoints.jsonl"
-
-#: The ``layout`` a shard-mode payload declares: per-engine population
-#: state plus one global snapshot per shared sensor and grid.  Serial
-#: payloads carry no layout.
-SHARD_LAYOUT = "inproc"
-
 
 class CheckpointError(RuntimeError):
     """A checkpoint failed validation; the message names the field."""
@@ -129,7 +132,8 @@ def spec_fingerprint(spec: "SimulationSpec") -> dict[str, Any]:
         "max_time": float(spec.max_time),
         "stop_at_fraction": float(spec.stop_at_fraction),
         "patch_rate": float(spec.patch_rate),
-        "shards": list(plan.boundaries) if plan is not None else None,
+        # An unsharded run executes as the single /0 shard.
+        "shards": list(plan.boundaries) if plan is not None else [0],
         "topology": (
             None
             if spec.topology is None
@@ -205,9 +209,6 @@ class Checkpointer:
     spec_hash:
         The owning spec's :func:`spec_hash`, stamped into every
         header.
-    mode:
-        ``"serial"`` or ``"shard"`` — which engine layout the payload
-        encodes; restore refuses a mode mismatch.
     """
 
     def __init__(
@@ -216,21 +217,14 @@ class Checkpointer:
         *,
         every: int,
         spec_hash: str,
-        mode: str,
     ) -> None:
         if every < 1:
             raise ValueError(
                 f"Checkpointer.every must be at least 1, got {every}"
             )
-        if mode not in ("serial", "shard"):
-            raise ValueError(
-                f"Checkpointer.mode: expected 'serial' or 'shard', "
-                f"got {mode!r}"
-            )
         self.directory = Path(directory)
         self.every = every
         self.spec_hash = spec_hash
-        self.mode = mode
         self._journal: Optional[TrialJournal] = None
 
     def due(self, tick: int) -> bool:
@@ -267,7 +261,6 @@ class Checkpointer:
             "format": FORMAT_NAME,
             "version": version,
             "spec_hash": self.spec_hash,
-            "mode": self.mode,
             "tick": int(tick),
             "payload_bytes": len(data),
             "payload_sha256": hashlib.sha256(data).hexdigest(),
@@ -295,7 +288,6 @@ class Checkpointer:
             tick=int(tick),
             file=final.name,
             spec_hash=self.spec_hash,
-            mode=self.mode,
         )
         record_recovery("checkpoint", tick=int(tick), file=str(final))
         return final
@@ -333,7 +325,6 @@ def load_checkpoint(
     path: Union[str, "os.PathLike[str]"],
     *,
     expected_spec_hash: Optional[str] = None,
-    expected_mode: Optional[str] = None,
 ) -> dict[str, Any]:
     """Read and validate one checkpoint; returns the payload dict.
 
@@ -341,8 +332,7 @@ def load_checkpoint(
     checkpoint inside is used).  Every validation failure raises
     :class:`CheckpointError` naming the offending field; the pickled
     payload is only deserialized after the length and SHA-256 checks
-    pass.  The returned payload carries ``tick`` and ``mode`` from
-    the header.
+    pass.  The returned payload carries ``tick`` from the header.
     """
     target = Path(path)
     if target.is_dir():
@@ -388,12 +378,6 @@ def load_checkpoint(
             f"expected: {expected_spec_hash!r}) — restoring it would "
             "silently diverge"
         )
-    mode = header.get("mode")
-    if expected_mode is not None and mode != expected_mode:
-        raise CheckpointError(
-            f"checkpoint.mode: snapshot was written by a {mode!r} run "
-            f"but this run executes as {expected_mode!r}"
-        )
     data = raw[newline + 1 :]
     declared = header.get("payload_bytes")
     if not isinstance(declared, int) or len(data) != declared:
@@ -419,15 +403,7 @@ def load_checkpoint(
             "checkpoint.payload: expected a state dict, got "
             f"{type(payload).__name__}"
         )
-    layout = payload.get("layout")
-    if layout not in (None, SHARD_LAYOUT):
-        raise CheckpointError(
-            f"checkpoint.layout: snapshot stores {layout!r} shard state; "
-            f"this build restores only {SHARD_LAYOUT!r} (in-process "
-            "shard) snapshots"
-        )
     payload["tick"] = int(header["tick"])
-    payload["mode"] = mode
     return payload
 
 
@@ -480,7 +456,6 @@ __all__ = [
     "FORMAT_VERSION",
     "JOURNAL_NAME",
     "RecoveryLog",
-    "SHARD_LAYOUT",
     "checkpoint_filename",
     "latest_checkpoint",
     "load_checkpoint",

@@ -3,7 +3,10 @@
 The engine never reads the clock itself (the determinism lint bans
 wall-clock calls from ``repro.sim``): it asks this module for a stage
 timer each run and calls ``start``/``lap`` around its four stages
-(generate / filter / dispatch / infect).  When no collection is
+(:data:`STAGES`: generate / filter / dispatch / infect).  The shard
+driver laps exactly these names at every K, and so does the
+reference oracle, so a breakdown reads the same whatever the shard
+count.  When no collection is
 active — the default — the timer is a shared no-op and the tick loop
 pays two attribute calls per stage.  ``hotspots run --perf`` wraps the
 campaign in :func:`perf_collection`, and the accumulated seconds ride
@@ -16,24 +19,8 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Optional, Protocol
 
-#: Engine stages, in tick order (also the display order).
+#: Tick-loop stages, in tick order (also the display order).
 STAGES = ("generate", "filter", "dispatch", "infect")
-
-#: Sharded-driver stages, in tick order.
-SHARD_STAGES = (
-    "generate",
-    "filter",
-    "route",
-    "exchange",
-    "shards",
-    "merge",
-)
-
-#: Display order: engine stages first, then the sharded-driver-only
-#: stage names, then (in :func:`format_stages`) anything unknown.
-_KNOWN_STAGES = STAGES + tuple(
-    stage for stage in SHARD_STAGES if stage not in STAGES
-)
 
 
 class StageTimer(Protocol):
@@ -62,10 +49,8 @@ class StageTimings:
 
 def format_stages(seconds: Mapping[str, float], ticks: int) -> str:
     """One-line human summary, known stages first."""
-    ordered = [stage for stage in _KNOWN_STAGES if stage in seconds]
-    ordered += [
-        stage for stage in sorted(seconds) if stage not in _KNOWN_STAGES
-    ]
+    ordered = [stage for stage in STAGES if stage in seconds]
+    ordered += [stage for stage in sorted(seconds) if stage not in STAGES]
     parts = [f"{stage} {seconds[stage]:.3f}s" for stage in ordered]
     total = sum(seconds.values())
     parts.append(f"total {total:.3f}s over {ticks} ticks")

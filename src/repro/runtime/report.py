@@ -95,9 +95,9 @@ class RunReport:
     ``perf_stages``/``perf_ticks`` are filled only when the campaign
     ran under :func:`repro.runtime.perf.perf_collection` (the CLI's
     ``--perf``): cumulative stage seconds and tick count across every
-    in-process trial.  Serial runs lap the four engine stages
-    (generate/filter/dispatch/infect); sharded runs lap the driver
-    stages of :data:`repro.runtime.perf.SHARD_STAGES`.
+    in-process trial.  Every run laps the four tick-loop stages of
+    :data:`repro.runtime.perf.STAGES` (generate/filter/dispatch/
+    infect), whatever its shard count.
 
     ``recovery_events`` are the checkpoint/restore events collected by
     :func:`repro.runtime.checkpoint.recovery_collection` while the

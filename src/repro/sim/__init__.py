@@ -1,15 +1,18 @@
 """Worm outbreak simulation.
 
-``engine``
-    The vectorized time-stepped epidemic simulator used for every
-    outbreak experiment in the paper's Section 5.
 ``spec``
     :class:`SimulationSpec` — the single picklable description of one
     outbreak (population + worm + environment + sensors + shard plan
     + tick budget) and :func:`simulate`, the one entry point over it.
 ``shard``
-    The sharded address-space engine: K per-interval engines behind a
-    deterministic exchange, bitwise-identical to the serial reference.
+    The tick loop of every outbreak experiment in the paper's
+    Section 5: K per-interval shard engines behind a deterministic
+    exchange.  An unsharded run is its K=1 case.
+``engine``
+    The result and config types, the thin ``EpidemicSimulator``
+    wrapper, and the reference oracle (:func:`run_reference`, run
+    under ``kernel_override(False)``) the tick loop must match
+    bitwise.
 ``epidemic``
     The classic analytic SI ("simple epidemic") model, used to
     validate the simulator and as the uniform-propagation baseline the
@@ -25,6 +28,7 @@ from repro.sim.engine import (
     EpidemicSimulator,
     SimulationConfig,
     SimulationResult,
+    run_reference,
     run_simulation_trial,
 )
 from repro.sim.epidemic import si_curve, si_time_to_fraction
@@ -44,6 +48,7 @@ __all__ = [
     "SimulationResult",
     "SimulationSpec",
     "TickArena",
+    "run_reference",
     "run_simulation_trial",
     "run_spec_trial",
     "si_curve",

@@ -1,27 +1,34 @@
-"""Sharded address-space execution of one outbreak.
+"""The tick loop: one outbreak over K address-space shards.
 
-``ShardedSimulator`` partitions the address space ``[0, 2^32)`` into
-``K`` contiguous intervals (:class:`ShardPlan`) and gives each shard
-its own engine state: a :class:`~repro.population.model.HostPopulation`
-slice, a shard-clipped :class:`~repro.sensors.index.SensorIndex`, a
-per-shard merged verdict partition, and a private
-:class:`~repro.sim.arena.TickArena`.
+``ShardedSimulator`` is the one tick loop of every kernel-enabled run
+(:func:`repro.sim.spec.simulate`).  It partitions the address space
+``[0, 2^32)`` into ``K`` contiguous intervals (:class:`ShardPlan`) and
+gives each shard a :class:`ShardEngine`: a
+:class:`~repro.population.model.HostPopulation` slice, a shard-clipped
+:class:`~repro.sensors.index.SensorIndex`, a per-shard merged verdict
+partition, and a private :class:`~repro.sim.arena.TickArena`.
 
-**Determinism policy (the exchange contract).**  A sharded run must be
-bitwise-identical to the unsharded serial reference, so the split
-between driver and shards follows one rule: *every RNG-consuming
-stage runs in the driver, in exactly the serial order; every
-deterministic per-target stage runs in the owning shard.*
+An unsharded spec (``shards=None``) runs as ``ShardPlan.even(1)``, and
+K=1 costs nothing over a dedicated serial loop: the single engine
+works on the spec's population itself (one status table, so each tick
+infects and immunizes once), and the exchange is the identity (the
+batch is its own single slice — no route, no permute).  The separate,
+deliberately plain loop is the reference oracle
+(:func:`repro.sim.engine.run_reference`, run under
+``kernel_override(False)``), which every K must reproduce bitwise.
+
+**Determinism policy (the exchange contract).**  Every RNG-consuming
+stage runs in the driver, in exactly the oracle's order; every
+deterministic per-target stage runs in the owning shard.
 
 * the driver generates probes for the global infected-host table
   (``worm.generate`` under the single run RNG), draws the loss mask
   over the full flat batch in batch order, applies containment and
   patching draws, and feeds merged infection batches back to
-  ``worm.add_hosts`` — the exact RNG call sequence of the serial
-  engine;
+  ``worm.add_hosts`` — the exact RNG call sequence of the oracle;
 * the *exchange step* routes each probe to the shard owning its
-  target (``searchsorted`` over the shard boundaries, stable
-  ordering), so per-shard batches preserve original batch order;
+  target (a stable counting partition over the shard intervals), so
+  per-shard batches preserve original batch order;
 * each shard resolves the deterministic verdict layers (routability,
   NAT, policy) through its own merged partition, dispatches delivered
   probes to its clipped sensors, and matches them against its
@@ -29,7 +36,12 @@ deterministic per-target stage runs in the owning shard.*
 * per-shard ``vulnerable_hits`` results are sorted-unique within the
   shard's interval, and shards are ordered by interval, so
   concatenating them in stable shard order *is* the global
-  sorted-unique infection batch the serial engine computes.
+  sorted-unique infection batch the oracle computes.
+
+Each tick laps the four stages of :data:`repro.runtime.perf.STAGES`
+whatever K is: ``generate``; ``filter`` (loss draw, routing, per-shard
+verdict, containment mask); ``dispatch`` (per-shard sensor dispatch,
+tracing); ``infect`` (hits, merge, patching, containment update).
 
 Shards run serially in-process, in shard order.  The parallel axis
 that pays on the paper's workloads is the trial level
@@ -45,17 +57,19 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.population.model import HostPopulation
-from repro.runtime.checkpoint import SHARD_LAYOUT, CheckpointError
+from repro.env.environment import NetworkEnvironment
+from repro.env.filtering import FilteringPolicy
+from repro.net.kernels import MergedPartition
+from repro.net.special import ADDR_PUBLIC, class_partition
+from repro.population.model import HostPopulation, HostStatus
 from repro.runtime.perf import stage_timer
 from repro.sensors.index import SensorIndex
 from repro.sim.arena import TickArena
-from repro.sim.engine import SimulationResult, _FusedVerdict
+from repro.sim.engine import SimulationResult
 
 if TYPE_CHECKING:
     from repro.runtime.checkpoint import Checkpointer
     from repro.sim.spec import SimulationSpec
-    from repro.worms.base import WormState
 
 #: End of the IPv4 address space (exclusive upper bound of any shard).
 ADDRESS_SPACE_END = 1 << 32
@@ -155,11 +169,221 @@ class ShardPlan:
         )
 
 
+
+#: "Never built" sentinel for :class:`_FusedVerdict` (distinct from a
+#: ``None`` policy kernel, which is a valid built state).
+_UNBUILT = object()
+
+
+class _FusedVerdict:
+    """One merged-partition locate answering every per-target question.
+
+    A shard's delivered-batch path asks three independent interval
+    questions about the same targets — special-range class, policy
+    membership, sensor ownership.  This glue fuses their tables into
+    one :class:`repro.net.kernels.MergedPartition`, so a shard-tick
+    pays a single locate, then reads each answer with one gather.
+
+    Invalidation is by identity: the policy's compiled kernel object
+    changes whenever its rule list does (see
+    :meth:`repro.env.filtering.FilteringPolicy.compiled_kernel`), the
+    sensor index is fixed per run, and the special-range table is
+    static — so ``refresh`` rebuilds exactly when the kernel object
+    differs from the one the table was built for.
+    """
+
+    __slots__ = (
+        "environment",
+        "worm_name",
+        "sensor_index",
+        "_merged",
+        "_kernel",
+        "_built_for",
+        "_policy_component",
+        "_sensor_component",
+        "_num_layers",
+        "_det",
+    )
+
+    def __init__(
+        self,
+        environment: NetworkEnvironment,
+        worm_name: Optional[str],
+        sensor_index: Optional[SensorIndex],
+    ):
+        self.environment = environment
+        self.worm_name = worm_name
+        self.sensor_index = sensor_index
+        self._merged: Optional[MergedPartition] = None
+        self._kernel = None
+        self._built_for: object = _UNBUILT
+        self._policy_component: Optional[int] = None
+        self._sensor_component = 0
+        self._num_layers = 0
+        self._det: Optional[np.ndarray] = None
+
+    def refresh(self) -> None:
+        """Rebuild the merged table if any component changed."""
+        kernel = self.environment.policy.compiled_kernel(self.worm_name)
+        if kernel is self._built_for:
+            return
+        components = [class_partition()]
+        self._policy_component = None
+        if kernel is not None:
+            self._policy_component = len(components)
+            components.append(kernel.partition_component())
+        self._sensor_component = len(components)
+        self._num_layers = 0
+        if self.sensor_index is not None:
+            sensor_components = self.sensor_index.partition_components()
+            components.extend(sensor_components)
+            self._num_layers = len(sensor_components)
+        self._merged = MergedPartition(components)
+        self._kernel = kernel
+        self._built_for = kernel
+        # Every RNG-free layer is a pure function of the source's
+        # policy region and the target's merged interval, so fold them
+        # all into one verdict table when NAT permits: with no NATed
+        # hosts under the strict model, the NAT layer reduces to
+        # "target is not private", making routable & NAT & policy a
+        # per-(source-region, interval) boolean.  A tick then resolves
+        # the deterministic layers with ONE table gather and the
+        # driver ANDs in the loss draw; boolean AND commutes, so the
+        # mask is bit-identical to the layer-by-layer composition.
+        self._det = None
+        nat = self.environment.nat
+        if nat.num_hosts == 0 and nat.intra_private_model == "strict":
+            target_ok = (
+                np.asarray(self._merged.values(0)) == ADDR_PUBLIC
+            )
+            if kernel is not None:
+                target_indices = self._merged.values(
+                    self._policy_component
+                )
+                self._det = (
+                    kernel.decision_table[:, target_indices]
+                    & target_ok[None, :]
+                )
+            elif not self.environment.policy.rules:
+                self._det = target_ok
+
+    def deterministic(
+        self,
+        flat_sources: np.ndarray,
+        flat_targets: np.ndarray,
+        source_indices: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pre-loss deliverability mask plus the merged slot per probe.
+
+        Resolves every RNG-free layer (routability, NAT, policy) —
+        bit-identical to ``environment.deterministic_deliverable`` on
+        the same batch.  The driver keeps the loss draw global and
+        ANDs it in afterwards.
+        """
+        merged = self._merged
+        slots = merged.locate(flat_targets)
+        det = self._det
+        if det is not None:
+            if det.ndim == 2:
+                if source_indices is None:
+                    source_indices = self._kernel.source_membership(
+                        flat_sources
+                    )
+                ok = det[source_indices, slots]
+            else:
+                ok = det[slots]
+            return ok, slots
+        target_class = merged.values(0)[slots]
+        policy_ok = None
+        if self._kernel is not None:
+            if source_indices is None:
+                source_indices = self._kernel.source_membership(flat_sources)
+            target_indices = merged.values(self._policy_component)[slots]
+            policy_ok = self._kernel.deliverable_from_indices(
+                source_indices, target_indices
+            )
+        ok = self.environment.deterministic_deliverable(
+            flat_sources,
+            flat_targets,
+            worm=self.worm_name,
+            target_class=target_class,
+            policy_ok=policy_ok,
+        )
+        return ok, slots
+
+    def dispatch(
+        self,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        time: float,
+        delivered_slots: np.ndarray,
+    ) -> None:
+        """Route a delivered batch to sensors via the shared locate."""
+        if self.sensor_index is None:
+            return
+        owners = [
+            self._merged.values(self._sensor_component + layer)[
+                delivered_slots
+            ]
+            for layer in range(self._num_layers)
+        ]
+        self.sensor_index.dispatch_from_owner_slots(
+            sources, targets, time, owners
+        )
+
+
+class _SourcePolicy:
+    """Per-host policy membership of the infected-host table.
+
+    The driver's host-policy cache: keyed only on the compiled
+    kernel's identity (a rule edit yields a new kernel and resets the
+    cache).  The infected-host address table only appends within a
+    run, so each tick resolves membership for the new hosts alone;
+    the buffer grows geometrically like every arena buffer.
+    """
+
+    __slots__ = ("policy", "worm_name", "kernel", "_buf", "_count")
+
+    def __init__(self, policy: FilteringPolicy, worm_name: Optional[str]):
+        self.policy = policy
+        self.worm_name = worm_name
+        self.kernel = None
+        self._buf: Optional[np.ndarray] = None
+        self._count = 0
+
+    def indices(self, addresses: np.ndarray) -> Optional[np.ndarray]:
+        """Membership per host, or ``None`` with no compiled kernel."""
+        kernel = self.policy.compiled_kernel(self.worm_name)
+        if kernel is not self.kernel:
+            self.kernel = kernel
+            self._count = 0
+        if kernel is None:
+            return None
+        count = len(addresses)
+        buf = self._buf
+        if buf is None or len(buf) < count:
+            grown = np.empty(
+                max(count, 1) if buf is None else max(count, 2 * len(buf)),
+                dtype=np.int64,
+            )
+            if buf is not None:
+                grown[: self._count] = buf[: self._count]
+            self._buf = buf = grown
+        if self._count < count:
+            buf[self._count : count] = kernel.source_membership(
+                addresses[self._count : count]
+            )
+            self._count = count
+        return buf[:count]
+
+
 class ShardEngine:
     """One shard's state: population slice, sensors, verdict tables.
 
     Constructed *from the spec*; the sensor objects are the caller's
-    own, and shards ingest disjoint probe streams into them.
+    own, and shards ingest disjoint probe streams into them.  At K=1
+    the engine works on the spec's population itself; at K>1 it holds
+    a slice of it.
 
     Construction is memory-slim on purpose — the 10^6-host regime is
     the whole point of sharding.  The population slice is found with
@@ -170,24 +394,27 @@ class ShardEngine:
     than their population views until probes actually arrive.
     """
 
-    def __init__(self, spec: "SimulationSpec", shard_id: int):
-        plan = spec.shard_plan
-        if plan is None:
-            raise ValueError("spec has no shard plan")
+    def __init__(self, spec: "SimulationSpec", plan: ShardPlan, shard_id: int):
         self.shard_id = shard_id
         self.lo, self.hi = plan.interval(shard_id)
-        addrs = spec.population.addresses()
-        lo_index = int(np.searchsorted(addrs, np.uint32(self.lo)))
-        hi_index = (
-            len(addrs)
-            if self.hi >= ADDRESS_SPACE_END
-            else int(np.searchsorted(addrs, np.uint32(self.hi)))
-        )
-        # The slice of a sorted-unique table is sorted-unique, and the
-        # table is never mutated, so the population can alias it.
-        self.population = HostPopulation(
-            addrs[lo_index:hi_index], presorted_unique=True
-        )
+        if plan.num_shards == 1:
+            self.population = spec.population
+            self._span = slice(None)
+        else:
+            addrs = spec.population.addresses()
+            lo_index = int(np.searchsorted(addrs, np.uint32(self.lo)))
+            hi_index = (
+                len(addrs)
+                if self.hi >= ADDRESS_SPACE_END
+                else int(np.searchsorted(addrs, np.uint32(self.hi)))
+            )
+            self._span = slice(lo_index, hi_index)
+            # The slice of a sorted-unique table is sorted-unique, and
+            # the table is never mutated, so the population can alias
+            # it.
+            self.population = HostPopulation(
+                addrs[self._span], presorted_unique=True
+            )
         self.sensors = list(spec.sensors)
         self.grids = list(spec.sensor_grids)
         self._environment = spec.environment
@@ -196,7 +423,6 @@ class ShardEngine:
         self._sensor_index_built = False
         self._verdict: Optional[_FusedVerdict] = None
         self.arena = TickArena()
-        self.delivered_probes = 0
 
     @property
     def sensor_index(self) -> Optional[SensorIndex]:
@@ -204,8 +430,12 @@ class ShardEngine:
         if not self._sensor_index_built:
             self._sensor_index_built = True
             if self.sensors or self.grids:
+                # A shard owning the whole space (K=1) needs no clip.
+                whole = self.lo == 0 and self.hi == ADDRESS_SPACE_END
                 index = SensorIndex(
-                    self.sensors, self.grids, within=(self.lo, self.hi)
+                    self.sensors,
+                    self.grids,
+                    within=None if whole else (self.lo, self.hi),
                 )
                 if index.num_intervals:
                     self._sensor_index = index
@@ -220,16 +450,6 @@ class ShardEngine:
             )
         return self._verdict
 
-    def seed(self, seed_addrs: np.ndarray) -> None:
-        """Infect this shard's share of the seed set."""
-        if len(seed_addrs):
-            self.population.infect(seed_addrs)
-
-    def immunize(self, addrs: np.ndarray) -> None:
-        """Apply a patch batch routed to this shard."""
-        if len(addrs):
-            self.population.immunize(addrs)
-
     def deterministic(
         self,
         sources: np.ndarray,
@@ -240,7 +460,7 @@ class ShardEngine:
         self.verdict.refresh()
         return self.verdict.deterministic(sources, targets, source_indices)
 
-    def finish(
+    def dispatch(
         self,
         now: float,
         sources: np.ndarray,
@@ -248,12 +468,11 @@ class ShardEngine:
         slots: np.ndarray,
         deliverable: np.ndarray,
     ) -> np.ndarray:
-        """Dispatch + infect the delivered survivors; returns fresh.
+        """Feed the delivered survivors to this shard's sensors.
 
         ``deliverable`` is the final per-probe mask (deterministic
-        layers ∧ loss ∧ containment, composed by the driver).  The
-        returned fresh-infection array is sorted-unique within this
-        shard's interval.
+        layers ∧ loss ∧ containment, composed by the driver).  Returns
+        the delivered targets, an arena loan valid for this tick.
         """
         arena = self.arena
         delivered_index = np.flatnonzero(deliverable)
@@ -264,15 +483,14 @@ class ShardEngine:
                 "delivered_targets", len(delivered_index), targets.dtype
             ),
         )
-        delivered_sources = np.take(
-            sources,
-            delivered_index,
-            out=arena.request(
-                "delivered_sources", len(delivered_index), sources.dtype
-            ),
-        )
-        self.delivered_probes += len(delivered_index)
         if self.sensor_index is not None:
+            delivered_sources = np.take(
+                sources,
+                delivered_index,
+                out=arena.request(
+                    "delivered_sources", len(delivered_index), sources.dtype
+                ),
+            )
             delivered_slots = np.take(
                 slots,
                 delivered_index,
@@ -283,48 +501,29 @@ class ShardEngine:
             self.verdict.dispatch(
                 delivered_sources, delivered_targets, now, delivered_slots
             )
+        return delivered_targets
+
+    def infect(self, delivered_targets: np.ndarray) -> np.ndarray:
+        """Infect the vulnerable hosts hit; returns them sorted-unique."""
         fresh = self.population.vulnerable_hits(delivered_targets)
         if len(fresh):
             self.population.infect(fresh)
         return fresh
 
-    def process(
-        self,
-        now: float,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        source_indices: Optional[np.ndarray],
-        loss_ok: Optional[np.ndarray],
-    ) -> tuple[np.ndarray, int]:
-        """One shard-tick without driver feedback (no containment).
-
-        Deterministic verdict ∧ routed loss mask, then dispatch and
-        infection in one step; returns ``(fresh, delivered_count)``.
-        """
-        before = self.delivered_probes
-        det, slots = self.deterministic(sources, targets, source_indices)
-        if loss_ok is not None:
-            np.logical_and(det, loss_ok, out=det)
-        fresh = self.finish(now, sources, targets, slots, det)
-        return fresh, self.delivered_probes - before
-
-    # -- checkpoint support -------------------------------------------
-
-    def state_snapshot(self) -> dict:
-        """Copy of this shard's mutable state.
-
-        The sensor objects are shared with the driver, which snapshots
-        them once globally, so they are not part of the shard state.
-        """
-        return {
-            "population": self.population.state_snapshot(),
-            "delivered_probes": int(self.delivered_probes),
-        }
-
-    def state_restore(self, snapshot: dict) -> None:
-        """Overwrite this shard's mutable state from a snapshot."""
-        self.population.state_restore(snapshot["population"])
-        self.delivered_probes = int(snapshot["delivered_probes"])
+    def state_restore(self, population_snapshot: dict) -> None:
+        """Load this shard's slice of a global population snapshot."""
+        status = np.asarray(population_snapshot["status"])[self._span]
+        self.population.state_restore(
+            {
+                "status": status,
+                "num_infected": int(
+                    np.count_nonzero(status == HostStatus.INFECTED)
+                ),
+                "num_immune": int(
+                    np.count_nonzero(status == HostStatus.IMMUNE)
+                ),
+            }
+        )
 
 
 #: Above this shard count the O(K·n) counting partition loses to the
@@ -340,31 +539,34 @@ class _Exchange:
     wraparound-subtract range test per shard plus a ``flatnonzero``
     (whose ascending indices are exactly the bucket's probes in
     original batch order) yields the *identical* stable permutation in
-    O(K·n) with trivial constants — this was the 1.89× driver-side
-    overhead at K=4.  Scratch buffers and permuted outputs live in a
-    private :class:`TickArena`, so steady-state routing allocates only
-    the per-bucket index arrays.
+    O(K·n) with trivial constants.  Scratch buffers and permuted
+    outputs live in a private :class:`TickArena`, so steady-state
+    routing allocates only the per-bucket index arrays.
+
+    With one shard the exchange is the identity: ``route`` does
+    nothing, ``split`` hands the batch back as its own single slice,
+    and ``join`` returns the one part.
     """
 
-    __slots__ = ("plan", "arena", "order", "offsets")
+    __slots__ = ("plan", "identity", "arena", "order", "offsets")
 
     def __init__(self, plan: ShardPlan):
         self.plan = plan
+        self.identity = plan.num_shards == 1
         self.arena = TickArena()
         self.order: Optional[np.ndarray] = None
         self.offsets: Optional[np.ndarray] = None
 
     def route(self, targets: np.ndarray) -> None:
         """Compute the stable owner ordering for one flat batch."""
+        if self.identity:
+            return
         num_shards = self.plan.num_shards
         count = len(targets)
         order = self.arena.request("order", count, np.intp)
         offsets = np.empty(num_shards + 1, dtype=np.int64)
         offsets[0] = 0
-        if num_shards == 1:
-            order[:] = np.arange(count)
-            offsets[1] = count
-        elif num_shards > _COUNTING_PARTITION_MAX_SHARDS:
+        if num_shards > _COUNTING_PARTITION_MAX_SHARDS:
             owner = self.plan.owner_of(targets)
             # Stable sort keeps each shard's probes in original batch
             # order — the same guarantee the counting partition gives.
@@ -393,43 +595,48 @@ class _Exchange:
         self.order = order
         self.offsets = offsets
 
-    def permute(self, values: np.ndarray, name: str) -> np.ndarray:
-        """A batch array reordered into shard-contiguous layout.
+    def split(
+        self, values: Optional[np.ndarray], name: str
+    ) -> list[Optional[np.ndarray]]:
+        """Per-shard slices of a batch array, in shard order.
 
-        The result is an arena loan: valid until the next tick routes
-        and permutes the same ``name`` (consumers either finish within
-        the tick or copy/serialize before the next one).
+        Slices of a routed batch are views of an arena loan: valid
+        until the next tick splits the same ``name`` (consumers either
+        finish within the tick or copy before the next one).
         """
-        assert self.order is not None
-        out = self.arena.request(name, len(values), values.dtype)
-        np.take(values, self.order, out=out)
-        return out
-
-    def slices(self, permuted: np.ndarray) -> list[np.ndarray]:
-        """Per-shard views of a permuted array, in shard order."""
-        assert self.offsets is not None
+        if values is None:
+            return [None] * self.plan.num_shards
+        if self.identity:
+            return [values]
+        assert self.order is not None and self.offsets is not None
+        permuted = self.arena.request(name, len(values), values.dtype)
+        np.take(values, self.order, out=permuted)
         return [
             permuted[self.offsets[k] : self.offsets[k + 1]]
             for k in range(self.plan.num_shards)
         ]
 
-    def scatter(
-        self, permuted: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Restore a permuted array to original batch order."""
+    def join(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Reassemble per-shard arrays into original batch order."""
+        if self.identity:
+            return parts[0]
         assert self.order is not None
+        permuted = np.concatenate(parts)
+        out = np.empty_like(permuted)
         out[self.order] = permuted
         return out
 
 
 class ShardedSimulator:
-    """Drives one outbreak across K address-space shards.
+    """The tick loop: drives one outbreak across K address-space shards.
 
     Parameters
     ----------
     spec:
-        The :class:`~repro.sim.spec.SimulationSpec`; must carry a
-        shard plan and a pristine population.
+        The :class:`~repro.sim.spec.SimulationSpec`.  ``shards=None``
+        runs as one /0 shard.  With K>1 the population must be
+        pristine, because shard slices start from the bare address
+        table.
     checkpointer:
         Optional :class:`~repro.runtime.checkpoint.Checkpointer`; the
         driver snapshots the full run state at its cadence.
@@ -448,119 +655,113 @@ class ShardedSimulator:
     ):
         plan = spec.shard_plan
         if plan is None:
-            raise ValueError(
-                "SimulationSpec.shards: ShardedSimulator needs a shard plan"
-            )
-        if spec.population.num_infected or spec.population.num_immune:
+            plan = ShardPlan.even(1)
+        if plan.num_shards > 1 and (
+            spec.population.num_infected or spec.population.num_immune
+        ):
             raise ValueError(
                 "SimulationSpec.population: sharded runs need a pristine "
                 "population (no prior infections or immunizations) — "
                 "shard slices start from the bare address table"
             )
-        if resume is not None and resume.get("mode") not in (None, "shard"):
-            raise CheckpointError(
-                f"checkpoint.mode: snapshot was written by a "
-                f"{resume.get('mode')!r} run but this run executes "
-                "as 'shard'"
-            )
         self.spec = spec
         self.plan = plan
         self.checkpointer = checkpointer
         self.resume = resume
+        self._arenas: list[TickArena] = []
 
-    # -- the driver loop ---------------------------------------------
+    @property
+    def allocations(self) -> int:
+        """Backing-array allocations across every arena of the last run."""
+        return sum(arena.allocations for arena in self._arenas)
 
     def run(self, rng: np.random.Generator) -> SimulationResult:
-        """Run the sharded outbreak (bitwise ≡ the serial reference)."""
-        spec = self.spec
-        config = spec.config
-        population = spec.population  # global source of truth
-
-        if self.resume is not None:
-            # The restored bit-generator state already accounts for
-            # the seed draw; the restored populations already carry
-            # the seed infections.
-            seed_addrs = np.empty(0, dtype=np.uint32)
-        elif spec.seed_addrs is None:
-            if config.seed_count > population.size:
-                raise ValueError("more seeds than hosts")
-            seed_addrs = rng.choice(
-                population.addresses(),
-                size=config.seed_count,
-                replace=False,
-            )
-        else:
-            seed_addrs = spec.seed_addrs
-        seed_addrs = np.asarray(seed_addrs, dtype=np.uint32)
-        engines = [
-            ShardEngine(spec, shard_id)
-            for shard_id in range(self.plan.num_shards)
-        ]
-        return self._drive(rng, seed_addrs, engines, _Exchange(self.plan))
-
-    def _drive(
-        self,
-        rng: np.random.Generator,
-        seed_addrs: np.ndarray,
-        engines: list[ShardEngine],
-        exchange: _Exchange,
-    ) -> SimulationResult:
+        """Run the outbreak (bitwise ≡ the reference oracle)."""
         spec = self.spec
         config = spec.config
         worm = spec.worm
-        population = spec.population
+        population = spec.population  # global source of truth
         environment = spec.environment
         containment = spec.containment
-        num_shards = self.plan.num_shards
+        trace_recorder = spec.trace_recorder
+        plan = self.plan
+        single = plan.num_shards == 1
 
-        resume = self.resume
-        if resume is None:
-            state = worm.new_state()
-            infected_now = population.infect(seed_addrs)
-            worm.add_hosts(state, infected_now, rng)
-            seed_owner = self.plan.owner_of(infected_now)
-            for shard_id, engine in enumerate(engines):
-                engine.seed(infected_now[seed_owner == shard_id])
-        else:
-            # Deep-copied so the resume payload stays reusable.
-            state = copy.deepcopy(resume["worm_state"])
-            infected_now = np.empty(0, dtype=np.uint32)
-            self._restore_engines(resume, engines)
-
-        # Per-host policy membership cache for the det verdict tables
-        # (mirrors the engine's host_policy_indices cache; consumes no
-        # RNG).  A driver-side verdict with no sensor component serves
-        # purely as that cache plus the kernel-identity tracker.
-        host_verdict = _FusedVerdict(environment, worm.name, None)
+        engines = [
+            ShardEngine(spec, plan, shard_id)
+            for shard_id in range(plan.num_shards)
+        ]
+        exchange = _Exchange(plan)
         arena = TickArena()
+        self._arenas = [arena, exchange.arena] + [
+            engine.arena for engine in engines
+        ]
+        source_policy = _SourcePolicy(environment.policy, worm.name)
         loss = environment.loss
         loss_active = loss.is_active
+        needs_global_mask = (
+            containment is not None or trace_recorder is not None
+        )
 
         per_tick_budget = config.scan_rate * config.tick_seconds
+        # Uniform-rate fast path legality: with no topology and an
+        # integral per-tick budget (one exact IEEE multiply — the same
+        # product the accumulator path adds), the accumulator provably
+        # stays 0.0 and every host emits exactly `uniform_scans`
+        # probes, so the accumulator math, the active mask, and the
+        # source gather drop out bit-identically.
         uniform_fast = spec.topology is None and float(
             per_tick_budget
         ).is_integer()
         uniform_scans = int(per_tick_budget) if uniform_fast else 0
-        needs_global_mask = (
-            containment is not None or spec.trace_recorder is not None
-        )
 
         times: list[float] = []
         infected_counts: list[int] = []
-        infection_times: list[float] = [0.0] * len(infected_now)
+        infection_times: list[float] = []
         total_probes = 0
         delivered_probes = 0
         start_tick = 0
-        if resume is not None:
+        resume = self.resume
+        if resume is None:
+            seed_addrs = spec.seed_addrs
+            if seed_addrs is None:
+                if config.seed_count > population.size:
+                    raise ValueError("more seeds than hosts")
+                seed_addrs = rng.choice(
+                    population.addresses(),
+                    size=config.seed_count,
+                    replace=False,
+                )
+            seed_addrs = np.asarray(seed_addrs, dtype=np.uint32)
+            state = worm.new_state()
+            infected_now = population.infect(seed_addrs)
+            worm.add_hosts(state, infected_now, rng)
+            infection_times = [0.0] * len(infected_now)
+            if not single:
+                seed_owner = plan.owner_of(infected_now)
+                for shard_id, engine in enumerate(engines):
+                    engine.population.infect(
+                        infected_now[seed_owner == shard_id]
+                    )
+        else:
+            # The restored bit-generator state already accounts for
+            # the seed draw; the restored population already carries
+            # the seed infections.  Deep-copied so the resume payload
+            # stays reusable.
+            state = copy.deepcopy(resume["worm_state"])
             rng.bit_generator.state = resume["rng_state"]
             population.state_restore(resume["population"])
+            if not single:
+                for engine in engines:
+                    engine.state_restore(resume["population"])
+            for sensor, snapshot in zip(spec.sensors, resume["sensors"]):
+                sensor.state_restore(snapshot)
+            for grid, snapshot in zip(spec.sensor_grids, resume["grids"]):
+                grid.state_restore(snapshot)
             if containment is not None and resume["containment"] is not None:
                 containment.state_restore(resume["containment"])
-            if (
-                spec.trace_recorder is not None
-                and resume["trace"] is not None
-            ):
-                spec.trace_recorder.state_restore(resume["trace"])
+            if trace_recorder is not None and resume["trace"] is not None:
+                trace_recorder.state_restore(resume["trace"])
             # A None carry means the writing run proved the
             # accumulator stays 0.0 (uniform fast path), so the
             # arena's zero-filled growth is already exact.
@@ -577,14 +778,15 @@ class ShardedSimulator:
 
         checkpointer = self.checkpointer
         timer = stage_timer()
-        num_ticks = int(np.ceil(config.max_time / config.tick_seconds))
-        for tick in range(start_tick, num_ticks):
+        for tick in range(start_tick, spec.num_ticks):
             now = (tick + 1) * config.tick_seconds
             timer.start()
 
             if uniform_fast:
                 max_scans = uniform_scans if state.num_hosts else 0
             else:
+                # Per-host scan budget this tick (fractional rates
+                # carry across ticks in the accumulator).
                 if spec.topology is not None:
                     rates = spec.topology.scan_rates(state.addresses())
                     budget = rates * config.tick_seconds
@@ -601,11 +803,13 @@ class ShardedSimulator:
             if max_scans > 0:
                 targets = worm.generate(state, max_scans, rng)
                 if uniform_fast:
+                    # Every host scans exactly max_scans times, so
+                    # row-major flattening is the identity traversal
+                    # the oracle's `targets[active]` performs.
                     flat_targets = targets.ravel()
                     flat_sources = arena.repeated(
                         "uniform_sources", state.addresses(), max_scans
                     )
-                    source_rows = None
                 else:
                     active = arena.request(
                         "active", state.num_hosts * max_scans, np.bool_
@@ -643,14 +847,14 @@ class ShardedSimulator:
                 timer.lap("generate")
 
                 # RNG-consuming stage: the loss draw over the full
-                # flat batch, in batch order — exactly the serial
-                # engine's consumption.
-                loss_ok = loss.deliverable(flat_targets, rng)
-
-                host_verdict.refresh()
-                host_policy = host_verdict.host_policy_indices(
-                    state.addresses()
+                # flat batch, in batch order — exactly the oracle's
+                # consumption (an inactive loss model draws nothing).
+                loss_ok = (
+                    loss.deliverable(flat_targets, rng)
+                    if loss_active
+                    else None
                 )
+                host_policy = source_policy.indices(state.addresses())
                 source_indices = None
                 if host_policy is not None:
                     if uniform_fast:
@@ -658,7 +862,7 @@ class ShardedSimulator:
                             "uniform_source_policy",
                             host_policy,
                             max_scans,
-                            token=host_verdict.kernel,
+                            token=source_policy.kernel,
                         )
                     else:
                         source_indices = np.take(
@@ -671,109 +875,77 @@ class ShardedSimulator:
                             ),
                         )
 
-                timer.lap("filter")
-
-                fresh_per_shard: list[np.ndarray] = []
                 # The exchange: route every probe to the shard owning
                 # its target, preserving batch order per shard.
                 exchange.route(flat_targets)
-                timer.lap("route")
-                shard_targets = exchange.slices(
-                    exchange.permute(flat_targets, "targets")
-                )
-                shard_sources = exchange.slices(
-                    exchange.permute(flat_sources, "sources")
-                )
-                shard_policy: list[Optional[np.ndarray]]
-                if source_indices is not None:
-                    shard_policy = list(
-                        exchange.slices(
-                            exchange.permute(source_indices, "policy")
-                        )
+                shard_targets = exchange.split(flat_targets, "targets")
+                shard_sources = exchange.split(flat_sources, "sources")
+                shard_policy = exchange.split(source_indices, "policy")
+                verdicts = [
+                    engine.deterministic(
+                        shard_sources[shard_id],
+                        shard_targets[shard_id],
+                        shard_policy[shard_id],
                     )
-                else:
-                    shard_policy = [None] * num_shards
-                shard_loss: list[Optional[np.ndarray]]
-                if loss_active:
-                    shard_loss = list(
-                        exchange.slices(exchange.permute(loss_ok, "loss"))
-                    )
-                else:
-                    shard_loss = [None] * num_shards
-                timer.lap("exchange")
-
+                    for shard_id, engine in enumerate(engines)
+                ]
                 if needs_global_mask:
-                    # Containment / tracing need the whole batch's mask
-                    # in original order: collect per-shard deterministic
-                    # verdicts, compose globally, then hand each shard
-                    # its final delivered mask.
-                    det_perm = np.empty(len(flat_targets), dtype=bool)
-                    det_slices = exchange.slices(det_perm)
-                    slot_list = []
-                    for shard_id, engine in enumerate(engines):
-                        det, slots = engine.deterministic(
-                            shard_sources[shard_id],
-                            shard_targets[shard_id],
-                            shard_policy[shard_id],
-                        )
-                        det_slices[shard_id][:] = det
-                        slot_list.append(slots)
-                    ok = exchange.scatter(
-                        det_perm,
-                        np.empty(len(flat_targets), dtype=bool),
-                    )
-                    np.logical_and(ok, loss_ok, out=ok)
+                    # Containment / tracing need the whole batch's
+                    # mask in original order: compose globally, then
+                    # hand each shard its final delivered mask.
+                    ok = exchange.join([det for det, _ in verdicts])
+                    if loss_ok is not None:
+                        np.logical_and(ok, loss_ok, out=ok)
                     if containment is not None:
                         ok = containment.filter_probes(ok, now, rng)
-                    delivered_probes += int(ok.sum())
-                    mask_slices = exchange.slices(
-                        exchange.permute(ok, "delivered")
-                    )
-                    if spec.trace_recorder is not None:
-                        spec.trace_recorder.record(
-                            now,
-                            flat_sources[ok],
-                            flat_targets[ok],
-                            worm=worm.name,
-                        )
-                    for shard_id, engine in enumerate(engines):
-                        fresh_per_shard.append(
-                            engine.finish(
-                                now,
-                                shard_sources[shard_id],
-                                shard_targets[shard_id],
-                                slot_list[shard_id],
-                                mask_slices[shard_id],
-                            )
-                        )
-                    timer.lap("shards")
+                    masks = exchange.split(ok, "delivered")
                 else:
-                    for shard_id, engine in enumerate(engines):
-                        fresh, delivered = engine.process(
-                            now,
-                            shard_sources[shard_id],
-                            shard_targets[shard_id],
-                            shard_policy[shard_id],
-                            shard_loss[shard_id],
-                        )
-                        fresh_per_shard.append(fresh)
-                        delivered_probes += delivered
-                    timer.lap("shards")
+                    masks = [det for det, _ in verdicts]
+                    for mask, shard_loss in zip(
+                        masks, exchange.split(loss_ok, "loss")
+                    ):
+                        if shard_loss is not None:
+                            np.logical_and(mask, shard_loss, out=mask)
+                timer.lap("filter")
+
+                delivered = [
+                    engine.dispatch(
+                        now,
+                        shard_sources[shard_id],
+                        shard_targets[shard_id],
+                        verdicts[shard_id][1],
+                        masks[shard_id],
+                    )
+                    for shard_id, engine in enumerate(engines)
+                ]
+                delivered_probes += sum(len(part) for part in delivered)
+                if trace_recorder is not None:
+                    trace_recorder.record(
+                        now,
+                        flat_sources[ok],
+                        flat_targets[ok],
+                        worm=worm.name,
+                    )
+                timer.lap("dispatch")
 
                 # Merge the infection streams: per-shard arrays are
                 # sorted-unique within disjoint ascending intervals,
                 # so shard-order concatenation is the global
-                # sorted-unique batch of the serial engine.
-                fresh_all = (
-                    np.concatenate(fresh_per_shard)
-                    if fresh_per_shard
-                    else np.empty(0, dtype=np.uint32)
+                # sorted-unique batch of the oracle.
+                fresh_parts = [
+                    engine.infect(part)
+                    for engine, part in zip(engines, delivered)
+                ]
+                fresh = (
+                    fresh_parts[0] if single else np.concatenate(fresh_parts)
                 )
-                if len(fresh_all):
-                    population.infect(fresh_all)
-                    worm.add_hosts(state, fresh_all, rng)
-                    infection_times.extend([now] * len(fresh_all))
-                timer.lap("merge")
+                if len(fresh):
+                    if not single:
+                        population.infect(fresh)
+                    worm.add_hosts(state, fresh, rng)
+                    infection_times.extend([now] * len(fresh))
+            else:
+                timer.lap("generate")
 
             if config.patch_rate > 0:
                 vulnerable = population.vulnerable_addresses()
@@ -783,34 +955,58 @@ class ShardedSimulator:
                 )
                 patched = vulnerable[patch_mask]
                 population.immunize(patched)
-                if len(patched):
-                    patch_owner = self.plan.owner_of(patched)
-                    for shard_id in range(num_shards):
-                        owned = patched[patch_owner == shard_id]
-                        engines[shard_id].immunize(owned)
+                if not single and len(patched):
+                    patch_owner = plan.owner_of(patched)
+                    for shard_id, engine in enumerate(engines):
+                        engine.population.immunize(
+                            patched[patch_owner == shard_id]
+                        )
 
             if containment is not None:
                 containment.update(now)
 
             times.append(now)
             infected_counts.append(population.num_infected)
+            timer.lap("infect")
             timer.tick()
             if population.fraction_infected >= config.stop_at_fraction:
                 break
             if checkpointer is not None and checkpointer.due(tick):
-                self._capture(
-                    checkpointer,
+                checkpointer.write(
                     tick,
-                    rng,
-                    state,
-                    engines,
-                    arena,
-                    uniform_fast,
-                    times,
-                    infected_counts,
-                    infection_times,
-                    total_probes,
-                    delivered_probes,
+                    {
+                        "rng_state": rng.bit_generator.state,
+                        "worm_state": state,
+                        "population": population.state_snapshot(),
+                        "sensors": [
+                            sensor.state_snapshot()
+                            for sensor in spec.sensors
+                        ],
+                        "grids": [
+                            grid.state_snapshot()
+                            for grid in spec.sensor_grids
+                        ],
+                        "containment": (
+                            containment.state_snapshot()
+                            if containment is not None
+                            else None
+                        ),
+                        "trace": (
+                            trace_recorder.state_snapshot()
+                            if trace_recorder is not None
+                            else None
+                        ),
+                        "accumulator": (
+                            None
+                            if uniform_fast
+                            else arena.accumulator(state.num_hosts).copy()
+                        ),
+                        "times": list(times),
+                        "infected_counts": list(infected_counts),
+                        "infection_times": list(infection_times),
+                        "total_probes": total_probes,
+                        "delivered_probes": delivered_probes,
+                    },
                 )
 
         return SimulationResult(
@@ -820,76 +1016,6 @@ class ShardedSimulator:
             population_size=population.size,
             total_probes=total_probes,
             delivered_probes=delivered_probes,
-        )
-
-    # -- checkpoint plumbing -------------------------------------------
-
-    def _restore_engines(
-        self, resume: dict, engines: list[ShardEngine]
-    ) -> None:
-        """Load per-shard state from a resume payload into the shards.
-
-        The engines share the spec's sensor objects, so the payload
-        stores engine snapshots without sensors plus one global
-        snapshot per sensor and grid.
-        """
-        spec = self.spec
-        for engine, snapshot in zip(engines, resume["engines"]):
-            engine.state_restore(snapshot)
-        for sensor, snapshot in zip(spec.sensors, resume["sensors"]):
-            sensor.state_restore(snapshot)
-        for grid, snapshot in zip(spec.sensor_grids, resume["grids"]):
-            grid.state_restore(snapshot)
-
-    def _capture(
-        self,
-        checkpointer: "Checkpointer",
-        tick: int,
-        rng: np.random.Generator,
-        state: "WormState",
-        engines: list[ShardEngine],
-        arena: TickArena,
-        uniform_fast: bool,
-        times: list[float],
-        infected_counts: list[int],
-        infection_times: list[float],
-        total_probes: int,
-        delivered_probes: int,
-    ) -> None:
-        """Write one shard-mode checkpoint of the full run state."""
-        spec = self.spec
-        carry = None
-        if not uniform_fast:
-            carry = arena.accumulator(state.num_hosts).copy()
-        checkpointer.write(
-            tick,
-            {
-                "layout": SHARD_LAYOUT,
-                "rng_state": rng.bit_generator.state,
-                "worm_state": state,
-                "population": spec.population.state_snapshot(),
-                "engines": [engine.state_snapshot() for engine in engines],
-                "sensors": [
-                    sensor.state_snapshot() for sensor in spec.sensors
-                ],
-                "grids": [grid.state_snapshot() for grid in spec.sensor_grids],
-                "containment": (
-                    spec.containment.state_snapshot()
-                    if spec.containment is not None
-                    else None
-                ),
-                "trace": (
-                    spec.trace_recorder.state_snapshot()
-                    if spec.trace_recorder is not None
-                    else None
-                ),
-                "accumulator": carry,
-                "times": list(times),
-                "infected_counts": list(infected_counts),
-                "infection_times": list(infection_times),
-                "total_probes": total_probes,
-                "delivered_probes": delivered_probes,
-            },
         )
 
 

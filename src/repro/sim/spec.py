@@ -1,25 +1,22 @@
 """`SimulationSpec`: one picklable description of one outbreak.
 
-Engine construction had accreted loose kwargs — a worm here, a
-population there, a :class:`~repro.sim.engine.SimulationConfig` plus
-``seed_addrs`` threaded through ``run_simulation_trial`` — and none of
-it could express shard topology.  ``SimulationSpec`` collapses all of
-it into a single frozen, picklable unit: population + worm +
-environment + sensors + shard plan + tick budget.  The registry, the
-trial runner, the journal, and the CLI all pass specs around; the old
-entry points (``EpidemicSimulator.run``, ``run_simulation_trial``)
-remain as thin compatibility wrappers over the same engine for one
-release.
+``SimulationSpec`` is a single frozen, picklable unit: population +
+worm + environment + sensors + shard plan + tick budget.  The
+registry, the trial runner, the journal, and the CLI all pass specs
+around; ``EpidemicSimulator.run`` and ``run_simulation_trial`` are
+thin wrappers that build a spec and call :func:`simulate`.
 
 Validation happens at construction and every error names the
 offending field (``SimulationSpec.scan_rate must be positive``), so a
 spec that pickles into a pool worker is already known-good.
 
-:func:`simulate` is the one entry point: it runs the sharded engine
-when the spec carries a shard plan (and kernels are enabled — under
-``kernel_override(False)`` the same spec runs the serial reference
-engine, the gating idiom every kernel follows), and the classic
-serial engine otherwise.  Results are bitwise-identical either way.
+:func:`simulate` is the one entry point.  With kernels enabled it runs
+the one tick loop, the shard driver
+(:class:`~repro.sim.shard.ShardedSimulator`); ``shards=None`` is its
+K=1 case.  Under ``kernel_override(False)`` — the gating idiom every
+kernel follows — it runs the reference oracle
+(:func:`~repro.sim.engine.run_reference`) instead.  Results are
+bitwise-identical either way.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from repro.sim.engine import (
     EpidemicSimulator,
     SimulationConfig,
     SimulationResult,
+    run_reference,
 )
 from repro.sim.shard import ShardPlan, ShardedSimulator, as_shard_plan
 from repro.traces.record import TraceRecorder
@@ -92,8 +90,8 @@ class SimulationSpec:
         inlined with the same semantics and defaults.
     shards:
         The shard plan: a :class:`~repro.sim.shard.ShardPlan`, an
-        ``int`` shard count (even split), or ``None`` for the classic
-        single-engine run.
+        ``int`` shard count (even split), or ``None`` for an unsharded
+        run (executed as one /0 shard, identical to ``shards=1``).
     seed_addrs:
         Optional explicit seed hosts (otherwise ``seed_count`` hosts
         are drawn uniformly at run time).
@@ -287,7 +285,7 @@ class SimulationSpec:
 
     @property
     def shard_plan(self) -> Optional[ShardPlan]:
-        """The normalized shard plan (``None`` = single engine)."""
+        """The normalized shard plan (``None`` = unsharded, run as K=1)."""
         return as_shard_plan(self.shards)
 
     @property
@@ -296,7 +294,7 @@ class SimulationSpec:
         return int(np.ceil(self.max_time / self.tick_seconds))
 
     def build_simulator(self) -> EpidemicSimulator:
-        """The classic single-engine simulator over this spec."""
+        """An :class:`EpidemicSimulator` wrapper over this spec's parts."""
         return EpidemicSimulator(
             worm=self.worm,
             population=self.population,
@@ -334,26 +332,35 @@ def simulate(
     """Run one outbreak described by a spec.
 
     ``rng`` is seed material (int / SeedSequence) or a live generator.
-    With a shard plan (and kernels enabled), the sharded engine runs —
-    bitwise-identical to the serial reference; under
-    ``kernel_override(False)`` the same spec takes the serial
-    reference path, like every compiled kernel.
+    With kernels enabled the shard driver runs at the spec's K
+    (``shards=None`` is K=1); under ``kernel_override(False)`` the
+    reference oracle runs instead, bitwise-identical, like every
+    compiled kernel.
 
     ``checkpoint_dir`` (with ``spec.checkpoint_every`` set) persists
     the full run state at the spec's cadence; ``restore_from`` names a
     checkpoint file or directory to resume — the snapshot is validated
-    against this spec's hash and execution mode before any state is
-    touched, and the resumed run continues bitwise-identically to an
-    uninterrupted one.
+    against this spec's hash before any state is touched, and the
+    resumed run continues bitwise-identically to an uninterrupted
+    one.  The oracle does not checkpoint, so it refuses both.
     """
     generator = (
         rng
         if isinstance(rng, np.random.Generator)
         else np.random.default_rng(rng)
     )
-    plan = spec.shard_plan
-    sharded = plan is not None and kernels_enabled()
-    mode = "shard" if sharded else "serial"
+    if not kernels_enabled():
+        for name, value in (
+            ("checkpoint_dir", checkpoint_dir),
+            ("restore_from", restore_from),
+        ):
+            if value is not None:
+                raise ValueError(
+                    f"simulate: {name} was given under "
+                    "kernel_override(False), but the reference oracle "
+                    "does not checkpoint or restore"
+                )
+        return run_reference(spec, generator)
     checkpointer = None
     if checkpoint_dir is not None:
         if spec.checkpoint_every is None:
@@ -366,32 +373,18 @@ def simulate(
             checkpoint_dir,
             every=spec.checkpoint_every,
             spec_hash=spec_hash(spec),
-            mode=mode,
         )
     resume = None
     if restore_from is not None:
         resume = load_checkpoint(
-            restore_from,
-            expected_spec_hash=spec_hash(spec),
-            expected_mode=mode,
+            restore_from, expected_spec_hash=spec_hash(spec)
         )
         record_recovery(
-            "restore",
-            tick=int(resume["tick"]),
-            mode=mode,
-            path=str(restore_from),
+            "restore", tick=int(resume["tick"]), path=str(restore_from)
         )
-    if sharded:
-        return ShardedSimulator(
-            spec, checkpointer=checkpointer, resume=resume
-        ).run(generator)
-    return spec.build_simulator().run(
-        spec.config,
-        generator,
-        seed_addrs=spec.seed_addrs,
-        checkpointer=checkpointer,
-        resume=resume,
-    )
+    return ShardedSimulator(
+        spec, checkpointer=checkpointer, resume=resume
+    ).run(generator)
 
 
 def run_spec_trial(

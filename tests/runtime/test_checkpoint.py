@@ -35,9 +35,7 @@ SPEC_HASH = "a" * 64
 
 @pytest.fixture
 def checkpointer(tmp_path):
-    return Checkpointer(
-        tmp_path, every=5, spec_hash=SPEC_HASH, mode="serial"
-    )
+    return Checkpointer(tmp_path, every=5, spec_hash=SPEC_HASH)
 
 
 def small_spec(**overrides):
@@ -65,15 +63,7 @@ class TestCadence:
 
     def test_every_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="at least 1"):
-            Checkpointer(
-                tmp_path, every=0, spec_hash=SPEC_HASH, mode="serial"
-            )
-
-    def test_mode_is_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="serial.*shard"):
-            Checkpointer(
-                tmp_path, every=1, spec_hash=SPEC_HASH, mode="turbo"
-            )
+            Checkpointer(tmp_path, every=0, spec_hash=SPEC_HASH)
 
 
 class TestWriteAndLoad:
@@ -82,14 +72,11 @@ class TestWriteAndLoad:
         path = checkpointer.write(9, payload)
         assert path.name == checkpoint_filename(9)
 
-        loaded = load_checkpoint(
-            path, expected_spec_hash=SPEC_HASH, expected_mode="serial"
-        )
+        loaded = load_checkpoint(path, expected_spec_hash=SPEC_HASH)
         assert loaded["rng_state"] == {"state": 7}
         assert loaded["times"] == [0.0, 1.0]
         # Header facts ride into the payload for the restore path.
         assert loaded["tick"] == 9
-        assert loaded["mode"] == "serial"
 
     def test_write_is_indexed_in_the_journal(self, checkpointer, tmp_path):
         checkpointer.write(4, {"x": 1})
@@ -122,20 +109,13 @@ class TestValidationNamesTheField:
     """Satellite contract: every refusal names what failed."""
 
     def write_one(self, tmp_path, tick=4, payload=None):
-        checkpointer = Checkpointer(
-            tmp_path, every=5, spec_hash=SPEC_HASH, mode="serial"
-        )
+        checkpointer = Checkpointer(tmp_path, every=5, spec_hash=SPEC_HASH)
         return checkpointer.write(tick, payload or {"x": 1})
 
     def test_wrong_spec_hash(self, tmp_path):
         path = self.write_one(tmp_path)
         with pytest.raises(CheckpointError, match="checkpoint.spec_hash"):
             load_checkpoint(path, expected_spec_hash="b" * 64)
-
-    def test_wrong_mode(self, tmp_path):
-        path = self.write_one(tmp_path)
-        with pytest.raises(CheckpointError, match="checkpoint.mode"):
-            load_checkpoint(path, expected_mode="shard")
 
     def test_truncated_payload(self, tmp_path):
         path = self.write_one(tmp_path)
@@ -206,9 +186,7 @@ class TestInjectedWriterFaults:
             MIDRUN_FAULT_ENV,
             json.dumps({"kind": "corrupt-checkpoint", "tick": 4}),
         )
-        checkpointer = Checkpointer(
-            tmp_path, every=5, spec_hash=SPEC_HASH, mode="serial"
-        )
+        checkpointer = Checkpointer(tmp_path, every=5, spec_hash=SPEC_HASH)
         path = checkpointer.write(4, {"x": 1})
         with pytest.raises(
             CheckpointError, match="checkpoint.payload_sha256"
@@ -220,9 +198,7 @@ class TestInjectedWriterFaults:
             MIDRUN_FAULT_ENV,
             json.dumps({"kind": "stale-checkpoint-version", "tick": 4}),
         )
-        checkpointer = Checkpointer(
-            tmp_path, every=5, spec_hash=SPEC_HASH, mode="serial"
-        )
+        checkpointer = Checkpointer(tmp_path, every=5, spec_hash=SPEC_HASH)
         path = checkpointer.write(4, {"x": 1})
         with pytest.raises(CheckpointError, match="checkpoint.version"):
             load_checkpoint(path)
@@ -232,9 +208,7 @@ class TestInjectedWriterFaults:
             MIDRUN_FAULT_ENV,
             json.dumps({"kind": "corrupt-checkpoint", "tick": 4}),
         )
-        checkpointer = Checkpointer(
-            tmp_path, every=5, spec_hash=SPEC_HASH, mode="serial"
-        )
+        checkpointer = Checkpointer(tmp_path, every=5, spec_hash=SPEC_HASH)
         clean = checkpointer.write(9, {"x": 1})
         assert load_checkpoint(clean)["x"] == 1
 

@@ -4,10 +4,16 @@ The contract of :mod:`repro.runtime.checkpoint` at the engine level:
 a run that checkpoints is undisturbed by the capture; a run restored
 from any checkpoint finishes with the same ``SimulationResult`` and
 the same sensor/grid/containment state as one that never stopped —
-across the serial engine and in-process shards (K in {1,2,4,8}).
-Snapshots that do not belong to the run (another spec, another mode,
-a retired layout, a truncated file) refuse by field name.
+across unsharded runs and in-process shards (K in {1,2,4,8}), which
+share one tick loop and one snapshot layout.  Snapshots that do not
+belong to the run (another spec, a retired format version, a
+truncated file) refuse by field name, and the
+``kernel_override(False)`` reference oracle refuses checkpointing.
 """
+
+import hashlib
+import json
+import pickle
 
 import numpy as np
 import pytest
@@ -19,8 +25,9 @@ from repro.net.cidr import BlockSet, CIDRBlock
 from repro.net.kernels import kernel_override
 from repro.population.model import HostPopulation
 from repro.runtime.checkpoint import (
+    FORMAT_NAME,
     CheckpointError,
-    Checkpointer,
+    checkpoint_filename,
     latest_checkpoint,
     recovery_collection,
     spec_hash,
@@ -211,6 +218,46 @@ class TestShardedRoundtrip:
         checkpoint_restore_roundtrip(build, tmp_path, shards=4)
 
 
+class TestUnshardedIsOneShard:
+    """``shards=None`` and ``shards=1`` are one run: they hash alike
+    and restore each other's checkpoints bitwise."""
+
+    @pytest.mark.parametrize(
+        "written, restored", [(None, 1), (1, None)]
+    )
+    def test_checkpoints_cross_restore(self, tmp_path, written, restored):
+        reference_spec = figure_spec(shards=restored)
+        reference = simulate(reference_spec, 42)
+        simulate(
+            figure_spec(shards=written, checkpoint_every=7),
+            42,
+            checkpoint_dir=tmp_path,
+        )
+        restored_spec = figure_spec(shards=restored)
+        assert simulate(restored_spec, 42, restore_from=tmp_path) == (
+            reference
+        )
+        assert_sensor_state_equal(reference_spec, restored_spec)
+
+
+def write_version_1_checkpoint(directory, spec, mode, payload):
+    """Write a version 1 checkpoint file (header ``mode``, matching
+    spec hash) for tick 6 under ``directory``."""
+    data = pickle.dumps(payload)
+    header = {
+        "format": FORMAT_NAME,
+        "version": 1,
+        "spec_hash": spec_hash(spec),
+        "mode": mode,
+        "tick": 6,
+        "payload_bytes": len(data),
+        "payload_sha256": hashlib.sha256(data).hexdigest(),
+    }
+    (directory / checkpoint_filename(6)).write_bytes(
+        json.dumps(header).encode() + b"\n" + data
+    )
+
+
 class TestRestoreValidation:
     def test_wrong_spec_refuses(self, tmp_path):
         simulate(
@@ -220,18 +267,29 @@ class TestRestoreValidation:
             simulate(figure_spec(scan_rate=9.0), 42, restore_from=tmp_path)
 
     def test_serial_checkpoint_refuses_shard_restore(self, tmp_path):
-        # Same spec both times (the hashes must match for the mode
-        # check to be reached): kernel_override(False) routes the
-        # sharded spec through the serial reference engine, so its
-        # checkpoint is written as mode="serial".
-        with kernel_override(False):
-            simulate(
-                figure_spec(shards=4, checkpoint_every=7),
-                42,
-                checkpoint_dir=tmp_path,
-            )
-        with pytest.raises(CheckpointError, match="checkpoint.mode"):
-            simulate(figure_spec(shards=4), 42, restore_from=tmp_path)
+        # Version 1 wrote serial runs as header mode "serial"; one
+        # layout replaced the modes, so such a file refuses a sharded
+        # restore at the version check even when its spec hash matches.
+        spec = figure_spec(shards=4)
+        write_version_1_checkpoint(
+            tmp_path, spec, "serial", {"times": [], "accumulator": None}
+        )
+        with pytest.raises(CheckpointError, match="checkpoint.version"):
+            simulate(spec, 42, restore_from=tmp_path)
+
+    def test_pool_layout_checkpoint_refuses(self, tmp_path):
+        # Process-pool shard runs wrote version 1 files with per-worker
+        # sensor clones under layout "pool"; such a file must refuse
+        # by name, never mis-restore.
+        spec = figure_spec(shards=4)
+        write_version_1_checkpoint(
+            tmp_path,
+            spec,
+            "shard",
+            {"layout": "pool", "engines": [], "sensors": None},
+        )
+        with pytest.raises(CheckpointError, match="checkpoint.version"):
+            simulate(spec, 42, restore_from=tmp_path)
 
     def test_different_shard_plan_refuses(self, tmp_path):
         # Shard boundaries shape the payload, so they are part of the
@@ -265,16 +323,14 @@ class TestRestoreValidation:
         with pytest.raises(TypeError, match="checkpoint_every"):
             figure_spec(checkpoint_every=2.5)
 
-    def test_pool_layout_checkpoint_refuses(self, tmp_path):
-        # Process-pool shard runs wrote per-worker sensor clones under
-        # layout "pool"; that layout is retired, so a matching header
-        # with such a payload must refuse by name, never mis-restore.
-        spec = figure_spec(shards=4)
-        Checkpointer(
-            tmp_path, every=7, spec_hash=spec_hash(spec), mode="shard"
-        ).write(6, {"layout": "pool", "engines": [], "sensors": None})
-        with pytest.raises(CheckpointError, match="checkpoint.layout"):
-            simulate(spec, 42, restore_from=tmp_path)
+    @pytest.mark.parametrize(
+        "argument", ["checkpoint_dir", "restore_from"]
+    )
+    def test_reference_oracle_refuses_checkpoints(self, tmp_path, argument):
+        spec = figure_spec(checkpoint_every=7)
+        with kernel_override(False):
+            with pytest.raises(ValueError, match=argument):
+                simulate(spec, 42, **{argument: tmp_path})
 
 
 class TestRecoveryEvents:
@@ -294,4 +350,4 @@ class TestRecoveryEvents:
         restore = next(
             event for event in log.events if event["kind"] == "restore"
         )
-        assert restore["mode"] == "serial"
+        assert restore["path"] == str(tmp_path)

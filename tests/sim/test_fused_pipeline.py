@@ -1,16 +1,15 @@
 """The fused tick pipeline must be bitwise-equal to the reference path.
 
 The fused pipeline (arena buffers + uniform-rate fast path + merged
-verdict partition) only reorganizes *how* each tick's probe batch is
-produced and judged — never which probes exist, never how the RNG is
-consumed.  These tests sweep worm families, integral and fractional
-scan rates, and an overlapping-sensor deployment, and demand
-``SimulationResult.__eq__`` (bitwise over every field) against
-``kernel_override(False)`` reference runs; the pipeline's two toggles
-(``use_fused_tick``, ``use_uniform_fast_path``) are also exercised
-independently.  Alongside the equivalence sweep: the duplicate-hit
-infection invariant and the arena's O(1) steady-state allocation
-contract.
+verdict partition, all inside the shard driver) only reorganizes
+*how* each tick's probe batch is produced and judged — never which
+probes exist, never how the RNG is consumed.  These tests sweep worm
+families, integral and fractional scan rates, and an
+overlapping-sensor deployment, and demand ``SimulationResult.__eq__``
+(bitwise over every field) of ``kernel_override(True)`` runs against
+``kernel_override(False)`` reference-oracle runs.  Alongside the
+equivalence sweep: the duplicate-hit infection invariant and the
+arena's O(1) steady-state allocation contract.
 """
 
 import tracemalloc
@@ -30,6 +29,8 @@ from repro.sim.engine import (
     SimulationConfig,
     run_simulation_trial,
 )
+from repro.sim.shard import ShardedSimulator
+from repro.sim.spec import SimulationSpec, simulate
 from repro.worms.base import WormModel, WormState
 from repro.worms.blaster import BlasterWorm
 from repro.worms.slammer import SlammerWorm
@@ -98,13 +99,12 @@ def reference_run(worm_name, scan_rate, seed=2006):
     return simulator, result
 
 
-def fused_run(
-    worm_name, scan_rate, seed=2006, fused=True, uniform_fast=True
-):
+def fused_run(worm_name, scan_rate, seed=2006):
     simulator = build_simulator(worm_name, seed)
-    simulator.use_fused_tick = fused
-    simulator.use_uniform_fast_path = uniform_fast
-    result = run_simulation_trial(simulator, config_with(scan_rate), seed)
+    with kernel_override(True):
+        result = run_simulation_trial(
+            simulator, config_with(scan_rate), seed
+        )
     return simulator, result
 
 
@@ -128,31 +128,6 @@ def test_fused_bitwise_equals_reference(worm_name, scan_rate):
     reference_sim, reference_result = reference_run(worm_name, scan_rate)
     assert fused_result == reference_result
     assert_same_sensors(fused_sim, reference_sim)
-
-
-@pytest.mark.parametrize("worm_name", ["uniform", "slammer"])
-def test_general_arena_path_without_fast_path(worm_name):
-    """Fast path off, fused on: the general arena path must match the
-    reference even for a fast-path-eligible (integral) rate."""
-    fused_sim, fused_result = fused_run(
-        worm_name, 10.0, uniform_fast=False
-    )
-    reference_sim, reference_result = reference_run(worm_name, 10.0)
-    assert fused_result == reference_result
-    assert_same_sensors(fused_sim, reference_sim)
-    # The toggle really took: no fast-path source cache was built.
-    arena = fused_sim.last_arena
-    assert arena is not None
-    assert "uniform_sources" not in arena._buffers
-
-
-def test_fused_tick_off_uses_no_arena():
-    """``use_fused_tick = False`` falls back to the kernelized legacy
-    path — still reference-equal, and no arena is created."""
-    legacy_sim, legacy_result = fused_run("uniform", 10.0, fused=False)
-    _, reference_result = reference_run("uniform", 10.0)
-    assert legacy_result == reference_result
-    assert legacy_sim.last_arena is None
 
 
 def test_fractional_rate_accumulator_carry():
@@ -190,28 +165,36 @@ class _FixedTargetWorm(WormModel):
         )
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_double_hit_infects_once(fused):
+# Ids keep the unsharded cases under their kernels-on/off names.
+@pytest.mark.parametrize(
+    "enabled, shards",
+    [
+        pytest.param(True, None, id="True"),
+        pytest.param(False, None, id="False"),
+        pytest.param(True, 2, id="True-shards2"),
+        pytest.param(False, 2, id="False-shards2"),
+    ],
+)
+def test_double_hit_infects_once(enabled, shards):
     """One host probed three times in one tick: exactly one infection,
     one worm row, one infection-time entry — state stays aligned."""
     base = 12 << 24  # 12.0.0.0/8: plain public space
     addrs = np.array([base + 1, base + 2, base + 3], dtype=np.uint32)
     worm = _FixedTargetWorm(base + 3)
-    simulator = EpidemicSimulator(
-        worm,
-        HostPopulation(addrs),
-        environment=NetworkEnvironment(),
-    )
-    simulator.use_fused_tick = fused
-    config = SimulationConfig(
-        scan_rate=3.0, max_time=1.0, seed_count=1, stop_at_fraction=1.0
-    )
-    result = simulator.run(
-        config,
-        np.random.default_rng(0),
+    population = HostPopulation(addrs)
+    spec = SimulationSpec(
+        worm=worm,
+        population=population,
+        scan_rate=3.0,
+        max_time=1.0,
+        seed_count=1,
+        stop_at_fraction=1.0,
         seed_addrs=addrs[:1],
+        shards=shards,
     )
-    assert simulator.population.num_infected == 2  # seed + target
+    with kernel_override(enabled):
+        result = simulate(spec, np.random.default_rng(0))
+    assert population.num_infected == 2  # seed + target
     assert result.infected_counts[-1] == 2
     # One infection_times entry per infection event, aligned with the
     # population count (a duplicated entry would desynchronize them).
@@ -278,9 +261,17 @@ def test_arena_allocations_are_steady_state():
             seed_count=400,
             stop_at_fraction=1.0,
         )
-        run_simulation_trial(simulator, config, 7)
-        assert simulator.last_arena is not None
-        return simulator.last_arena.allocations
+        driver = ShardedSimulator(
+            SimulationSpec.from_config(
+                config,
+                worm=simulator.worm,
+                population=simulator.population,
+                environment=simulator.environment,
+                sensors=simulator.sensors,
+            )
+        )
+        driver.run(np.random.default_rng(7))
+        return driver.allocations
 
     short = run_for(12)
     long = run_for(36)

@@ -114,17 +114,6 @@ def test_kernel_run_bitwise_equals_reference_run(seed):
         )
 
 
-def test_use_sensor_index_flag_off_matches():
-    """The legacy per-sensor loop (flag, not override) is identical too."""
-    seed = 11
-    flagged = build_simulator(seed)
-    flagged.use_sensor_index = False
-    flagged_result = run_simulation_trial(flagged, CONFIG, seed)
-    indexed = build_simulator(seed)
-    indexed_result = run_simulation_trial(indexed, CONFIG, seed)
-    assert flagged_result == indexed_result
-
-
 def test_time_to_fraction():
     _, result = run(True)
     assert result.time_to_fraction(0.0) == result.times[0]

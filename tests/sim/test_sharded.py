@@ -19,6 +19,7 @@ from repro.env.filtering import FilterRule, FilteringPolicy
 from repro.net.cidr import BlockSet, CIDRBlock
 from repro.net.kernels import kernel_override
 from repro.population.model import HostPopulation
+from repro.runtime.perf import STAGES, perf_collection
 from repro.sensors.darknet import ims_standard_deployment
 from repro.sensors.deployment import SensorGrid
 from repro.sim.containment import QuorumTriggeredContainment
@@ -306,11 +307,25 @@ class TestShardedEquivalence:
         assert gated_result == simulate(reference, 19)
 
 
+class TestStageTimings:
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_every_k_laps_exactly_the_tick_stages(self, shards):
+        # One stage list: --perf, bench_shard and paperbench read the
+        # same names whatever the shard count.
+        with perf_collection() as timings:
+            simulate(figure_spec(shards=shards), 2006)
+        assert set(timings.seconds) == set(STAGES)
+        assert timings.ticks == 20
+
+
 class TestShardedValidation:
-    def test_needs_a_plan(self):
-        spec = figure_spec(shards=None)
-        with pytest.raises(ValueError, match="SimulationSpec.shards"):
-            ShardedSimulator(spec)
+    def test_no_plan_runs_as_one_shard(self):
+        # An unsharded spec is the K=1 case of the one tick loop.
+        simulator = ShardedSimulator(figure_spec(shards=None))
+        assert simulator.plan == ShardPlan.even(1)
+        assert simulator.run(np.random.default_rng(3)) == simulate(
+            figure_spec(shards=1), 3
+        )
 
     def test_needs_pristine_population(self):
         spec = figure_spec(shards=2)
